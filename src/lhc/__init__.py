@@ -1,8 +1,9 @@
 """Latin hypercubes of small order: construction, transforms, classification,
 and exact transversal counting.
 
-Two independent counting paths are exposed: an exact backtracking enumerator
-that works on any cube within the search envelope, and a closed-form counter
+Two independent counting paths are exposed: an exact search (a
+meet-in-the-middle counter and an ordered enumerator) that works on any cube
+within the search envelope, and a closed-form counter
 for order-4 cubes built from a Boolean orientation function.  The `lhc`
 command line wraps both plus a verification suite.
 """
@@ -57,7 +58,6 @@ from .engine import (
     count_transversals,
     count_transversals_stats,
     enumerate_transversals,
-    partition_counts,
     transversals_by_quadruple,
     verify_transversal,
 )

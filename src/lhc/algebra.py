@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 
-from .core import LatinHypercube, StructuralError, index_of
+from .core import LatinHypercube, StructuralError, check_scale, index_of
 from .engine import Transversal, verify_transversal
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def gen_iterated_group(kind: GroupKind, n: int, q: int) -> LatinHypercube:
         raise ValueError(f"order must be >= 2, got {q}")
     if kind in (GroupKind.Z4, GroupKind.Z2X2) and q != 4:
         raise ValueError(f"group kind {kind.value} requires order 4, got {q}")
-    out = bytearray(q**n)
+    out = bytearray(check_scale(n, q))
     if kind is GroupKind.Z2X2:
         for idx, x in enumerate(product(range(q), repeat=n)):
             acc = 0
@@ -254,7 +254,7 @@ def compose(spec: CompositionSpec) -> LatinHypercube:
     if len(qs) != 1:
         raise ValueError(f"mixed orders in tree: {sorted(qs)}")
     q = qs.pop()
-    out = bytearray(q**spec.n)
+    out = bytearray(check_scale(spec.n, q))
     root = spec.root
     for idx, x in enumerate(product(range(q), repeat=spec.n)):
         out[idx] = _eval_tree(root, x)
@@ -304,7 +304,7 @@ class TwoLevelComposition:
         n, q = self.n, self.inner.q
         inner_pos = tuple(v - 1 for v in self.inner_vars)
         rest_pos = tuple(v - 1 for v in self.rest_vars)
-        out = bytearray(q**n)
+        out = bytearray(check_scale(n, q))
         inner, outer = self.inner, self.outer
         for idx, x in enumerate(product(range(q), repeat=n)):
             y = inner[tuple(x[p] for p in inner_pos)]

@@ -80,6 +80,17 @@ def coords_of(index: int, n: int, q: int) -> Cell:
 # The hypercube value type
 # ---------------------------------------------------------------------------
 
+def check_scale(n: int, q: int) -> int:
+    """The cell count q**n, or StructuralError when it exceeds MAX_CELLS.
+    Table builders call it before they allocate."""
+    if q >= 2 and n >= MAX_CELLS.bit_length():
+        raise StructuralError(f"q**n = {q}**{n} exceeds the supported scale {MAX_CELLS}")
+    size = q**n
+    if size > MAX_CELLS:
+        raise StructuralError(f"q**n = {size} exceeds the supported scale {MAX_CELLS}")
+    return size
+
+
 @dataclass(frozen=True)
 class LatinHypercube:
     """Immutable n-dimensional table of order q.
@@ -97,9 +108,7 @@ class LatinHypercube:
             raise StructuralError(f"arity must be >= 1, got {self.n}")
         if not 1 <= self.q <= MAX_ORDER:
             raise StructuralError(f"order must be in 1..{MAX_ORDER}, got {self.q}")
-        size = self.q**self.n
-        if size > MAX_CELLS:
-            raise StructuralError(f"q**n = {size} exceeds the supported scale {MAX_CELLS}")
+        size = check_scale(self.n, self.q)
         if len(self.values) != size:
             raise StructuralError(f"expected {size} symbols, got {len(self.values)}")
         if size and max(self.values) >= self.q:

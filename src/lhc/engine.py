@@ -1,18 +1,25 @@
 """Exact transversal search over latin hypercubes.
 
-Counting and enumeration run the same depth-first search: one graph cell is
-chosen per output symbol a = 0..q-1 in increasing order, among the q^(n-1)
-cells with x0 = a.  A cell's input tuple is packed into an integer with one
-one-hot q-bit field per coordinate, so two cells collide in some coordinate
-exactly when their packed masks intersect.  For each ordered pair of symbol
-classes a per-cell bitset row is precomputed ("which later-class cells stay
-legal after choosing this one"); the search intersects those rows while
-descending and, when only counting, adds the popcount of the final surviving
-bitset instead of expanding the last level.
+A transversal takes one graph cell per output symbol a = 0..q-1, among the
+q^(n-1) cells with x0 = a.  A cell's input tuple is packed into an integer
+with one one-hot q-bit field per coordinate, so two cells collide in some
+coordinate exactly when their packed masks intersect.  q cells with pairwise
+disjoint masks set n bits each, q*n in all, so their union is the full mask
+of all q*n bits; conversely every pick of one cell per symbol class whose
+masks are disjoint is a transversal.
 
-Candidate lists are built in table-index order, which makes the enumeration
-stream lexicographic in the flattened, x0-sorted cell list and bitwise
-reproducible between runs.
+Counting is meet-in-the-middle.  For the classes 0..q//2-1 (table A) and
+for the rest (table B), a table maps each union mask to the number of
+disjoint picks with that union.  A first-half pick with union u and a
+second-half pick with union w form a transversal exactly when u and w are
+disjoint.  w then lies inside full ^ u and has as many bits, so w equals
+full ^ u, and the count is the sum of A[u] * B[full ^ u].
+
+Enumeration is a depth-first search over the classes 0..q-3 in table-index
+order, testing masks directly.  The last two classes come from a table that
+maps each union mask to its disjoint cell pairs in index order, looked up
+at full ^ (mask used so far).  The stream is lexicographic in the
+flattened, x0-sorted cell list and bitwise reproducible between runs.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ class Transversal:
 
 @dataclass
 class SearchStats:
+    """What a count cost: nodes_visited is the number of partial states (union
+    masks) the two half tables hold, summed over their levels."""
+
     nodes_visited: int = 0
     transversals_found: int = 0
     elapsed: float = 0.0
@@ -81,34 +91,23 @@ def _check_envelope(cube: LatinHypercube) -> None:
         )
 
 
-def _prepare(cube: LatinHypercube):
-    """Candidate input tuples per output symbol, packed masks, and pairwise
-    compatibility bitset rows."""
+def _prepare(cube: LatinHypercube) -> list[tuple[list[int], list[int]]]:
+    """Per output symbol, the table indices of its cells and their packed
+    input masks, both in index order."""
     _check_envelope(cube)
     n, q = cube.n, cube.q
-    inputs_by_symbol: list[list[Cell]] = [[] for _ in range(q)]
-    masks: list[list[int]] = [[] for _ in range(q)]
-    values = cube.values
-    for idx, inputs in enumerate(product(range(q), repeat=n)):
-        a = values[idx]
-        m = 0
-        for i, x in enumerate(inputs):
-            m |= 1 << (q * i + x)
-        inputs_by_symbol[a].append(inputs)
-        masks[a].append(m)
-    compat: dict[tuple[int, int], list[int]] = {}
-    for j in range(q):
-        for k in range(j + 1, q):
-            mk = masks[k]
-            rows = []
-            for mj in masks[j]:
-                bits = 0
-                for i, m2 in enumerate(mk):
-                    if not mj & m2:
-                        bits |= 1 << i
-                rows.append(bits)
-            compat[(j, k)] = rows
-    return inputs_by_symbol, masks, compat
+    masks = [0]
+    for i in range(n):
+        bits = [1 << (q * i + x) for x in range(q)]
+        masks = [m | b for m in masks for b in bits]
+    indices: list[list[int]] = [[] for _ in range(q)]
+    for idx, a in enumerate(cube.values):
+        indices[a].append(idx)
+    return [(ix, [masks[i] for i in ix]) for ix in indices]
+
+
+def _full_mask(cube: LatinHypercube) -> int:
+    return (1 << (cube.q * cube.n)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -116,88 +115,38 @@ def _prepare(cube: LatinHypercube):
 # ---------------------------------------------------------------------------
 
 
+def _union_counts(classes, stats: SearchStats) -> dict[int, int]:
+    """Union mask -> number of picks, one cell per class, pairwise disjoint."""
+    table = {0: 1}
+    for _, masks in classes:
+        nxt: dict[int, int] = {}
+        for u, c in table.items():
+            for m in masks:
+                if not u & m:
+                    v = u | m
+                    nxt[v] = nxt.get(v, 0) + c
+        table = nxt
+        stats.nodes_visited += len(table)
+    return table
+
+
 def count_transversals_stats(cube: LatinHypercube) -> tuple[int, SearchStats]:
     """Exact transversal count with search statistics."""
     start = time.perf_counter()
-    _, masks, compat = _prepare(cube)
-    q = cube.q
-    nodes = 0
-
-    def rec(level: int, pend: tuple[int, ...]) -> int:
-        nonlocal nodes
-        if level == q - 1:
-            c = pend[0].bit_count()
-            nodes += c
-            return c
-        rows = [compat[(level, k)] for k in range(level + 1, q)]
-        total = 0
-        r = pend[0]
-        while r:
-            lsb = r & -r
-            r ^= lsb
-            i = lsb.bit_length() - 1
-            nodes += 1
-            nxt = []
-            for off, rowtab in enumerate(rows):
-                v = pend[off + 1] & rowtab[i]
-                if not v:
-                    break
-                nxt.append(v)
-            else:
-                total += rec(level + 1, tuple(nxt))
-        return total
-
-    fulls = tuple((1 << len(ms)) - 1 for ms in masks)
-    found = rec(0, fulls)
-    stats = SearchStats(nodes, found, time.perf_counter() - start)
+    classes = _prepare(cube)
+    stats = SearchStats()
+    half = cube.q // 2
+    first = _union_counts(classes[:half], stats)
+    second = _union_counts(classes[half:], stats)
+    full = _full_mask(cube)
+    found = sum(c * second.get(full ^ u, 0) for u, c in first.items())
+    stats.transversals_found = found
+    stats.elapsed = time.perf_counter() - start
     return found, stats
 
 
 def count_transversals(cube: LatinHypercube) -> int:
     return count_transversals_stats(cube)[0]
-
-
-def partition_counts(cube: LatinHypercube) -> list[int]:
-    """Per-first-cell subtotals; their sum equals count_transversals.
-
-    This is the fan-out unit for parallel counting: each first-level
-    candidate can be processed independently and the subtotals summed in
-    candidate order.
-    """
-    _, masks, compat = _prepare(cube)
-    q = cube.q
-    if q == 1:
-        return [1] * len(masks[0])
-
-    def rec(level: int, pend: tuple[int, ...]) -> int:
-        if level == q - 1:
-            return pend[0].bit_count()
-        rows = [compat[(level, k)] for k in range(level + 1, q)]
-        total = 0
-        r = pend[0]
-        while r:
-            lsb = r & -r
-            r ^= lsb
-            i = lsb.bit_length() - 1
-            nxt = []
-            for off, rowtab in enumerate(rows):
-                v = pend[off + 1] & rowtab[i]
-                if not v:
-                    break
-                nxt.append(v)
-            else:
-                total += rec(level + 1, tuple(nxt))
-        return total
-
-    fulls = [(1 << len(ms)) - 1 for ms in masks]
-    out = []
-    for i in range(len(masks[0])):
-        pend = tuple(fulls[k] & compat[(0, k)][i] for k in range(1, q))
-        if all(pend):
-            out.append(rec(1, pend) if q > 1 else 1)
-        else:
-            out.append(0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -214,37 +163,37 @@ def enumerate_transversals(cube: LatinHypercube, limit: int | None = None) -> It
     return gen if limit is None else islice(gen, limit)
 
 
+def _tail_table(classes) -> dict[int, list[tuple[Cell, ...]]]:
+    """Union mask -> disjoint picks from one or two classes, in index order."""
+    table: dict[int, list[tuple[Cell, ...]]] = {0: [()]}
+    for cells, masks in classes:
+        nxt: dict[int, list[tuple[Cell, ...]]] = {}
+        for u, picks in table.items():
+            for cell, m in zip(cells, masks):
+                if not u & m:
+                    nxt.setdefault(u | m, []).extend(p + (cell,) for p in picks)
+        table = nxt
+    return table
+
+
 def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
-    inputs_by_symbol, masks, compat = _prepare(cube)
-    q = cube.q
+    inputs = list(product(range(cube.q), repeat=cube.n))
+    classes = [([(a,) + inputs[i] for i in ix], masks) for a, (ix, masks) in enumerate(_prepare(cube))]
+    depth = max(cube.q - 2, 0)
+    tail = _tail_table(classes[depth:])
+    full = _full_mask(cube)
 
-    def rec(level: int, pend: tuple[int, ...], chosen: list[Cell]):
-        r = pend[0]
-        if level == q - 1:
-            while r:
-                lsb = r & -r
-                r ^= lsb
-                i = lsb.bit_length() - 1
-                yield Transversal(tuple(chosen) + ((level,) + inputs_by_symbol[level][i],))
+    def rec(level: int, used: int, chosen: tuple[Cell, ...]):
+        if level == depth:
+            for pick in tail.get(full ^ used, ()):
+                yield Transversal(chosen + pick)
             return
-        rows = [compat[(level, k)] for k in range(level + 1, q)]
-        while r:
-            lsb = r & -r
-            r ^= lsb
-            i = lsb.bit_length() - 1
-            nxt = []
-            for off, rowtab in enumerate(rows):
-                v = pend[off + 1] & rowtab[i]
-                if not v:
-                    break
-                nxt.append(v)
-            else:
-                chosen.append((level,) + inputs_by_symbol[level][i])
-                yield from rec(level + 1, tuple(nxt), chosen)
-                chosen.pop()
+        cells, masks = classes[level]
+        for cell, m in zip(cells, masks):
+            if not used & m:
+                yield from rec(level + 1, used | m, chosen + (cell,))
 
-    fulls = tuple((1 << len(ms)) - 1 for ms in masks)
-    yield from rec(0, fulls, [])
+    yield from rec(0, 0, ())
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 
-from .core import LatinHypercube, ParseError, UnsupportedOrderError
+from .core import LatinHypercube, ParseError, UnsupportedOrderError, check_scale
 
 # ---------------------------------------------------------------------------
 # Boolean orientation functions
@@ -115,7 +115,7 @@ def gen_semilinear(lam: BooleanFn) -> LatinHypercube:
     """Order-4 cube with f(x) = x1 ^ ... ^ xn ^ lam(l(x1)..l(xn))."""
     n = lam.n
     bits = lam.bits
-    out = bytearray(4**n)
+    out = bytearray(check_scale(n, 4))
     for idx, x in enumerate(product(range(4), repeat=n)):
         acc = 0
         block = 0

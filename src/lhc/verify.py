@@ -426,8 +426,8 @@ CLAIM_IDS = [cid for cid, _, _, _ in _CLAIMS]
 CLAIM_BUDGETS_MS = {
     "C01": 1_000,
     "C02": 4_000,
-    "C03": 300_000,
-    "C04": 120_000,
+    "C03": 30_000,
+    "C04": 30_000,
     "C05": 10_000,
 }
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from lhc import BinaryOp, BooleanFn, GroupKind, gen_iterated_group
+from itertools import permutations, product
+
+from lhc import BinaryOp, BooleanFn, GroupKind, Transversal, gen_iterated_group
 
 # The two binary order-4 squares behind the layered example cubes: L0 has no
 # transversals, Z4ADD is plain cyclic addition.
@@ -32,3 +34,18 @@ def all_lambdas(n: int):
 
 def lambda_from_string(s: str) -> BooleanFn:
     return BooleanFn.from_string(s)
+
+
+def brute_force_transversals(cube) -> set:
+    """Every transversal of a cube with q <= 4 and n <= 3, found by trying
+    all permutations of the inputs: cell k takes x1 = k and xi = p_i(k)."""
+    n, q = cube.n, cube.q
+    if q > 4 or n > 3:
+        raise ValueError(f"brute force is for q <= 4 and n <= 3, got q={q} n={n}")
+    found = set()
+    for perms in product(permutations(range(q)), repeat=n - 1):
+        inputs = [(k,) + tuple(p[k] for p in perms) for k in range(q)]
+        outputs = [cube[x] for x in inputs]
+        if len(set(outputs)) == q:
+            found.add(Transversal.of((a,) + x for a, x in zip(outputs, inputs)))
+    return found

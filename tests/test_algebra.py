@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -31,6 +32,7 @@ from lhc import (
     graph_cells,
     is_reducible,
     lambda_z4,
+    lambda_z22,
     lift_transversals_fiber,
     lift_transversals_product,
     lower_bound_completely_reducible,
@@ -78,6 +80,35 @@ def test_iterated_cyclic_formula():
 def test_iterated_order4_counts():
     assert count_transversals(gen_iterated_group(GroupKind.Z2X2, 2, 4)) == 8
     assert count_transversals(gen_iterated_group(GroupKind.Z4, 2, 4)) == 0
+
+
+def test_generators_reject_oversized_tables_before_allocating():
+    # 4**13 cells is just above MAX_CELLS; the check must come before the
+    # table is allocated and filled, so the peak stays far below 4**13 bytes
+    op = addition_square(4)
+    root = Leaf(1)
+    for v in range(2, 14):
+        root = Node(op, root, Leaf(v))
+    spec = CompositionSpec(13, root)
+    half = xor_cube(7)
+    split = TwoLevelComposition(half, half, tuple(range(1, 8)))
+    lam = lambda_z22(13)
+    builders = [
+        lambda: gen_iterated_group(GroupKind.Z2X2, 13, 4),
+        lambda: gen_iterated_group(GroupKind.Z2X2, 10**9, 4),
+        lambda: gen_semilinear(lam),
+        lambda: compose(spec),
+        split.compose,
+    ]
+    for build in builders:
+        tracemalloc.start()
+        try:
+            with pytest.raises(StructuralError, match="exceeds the supported scale"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_iterated_kind_order_consistency():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -21,12 +22,11 @@ from lhc import (
     gen_semilinear,
     lambda_z4,
     lambda_z22,
-    partition_counts,
     transversals_by_quadruple,
     verify_transversal,
 )
 from lhc.fixtures import EXAMPLE_CUBE_2, load_fixture
-from lhc.randgen import random_lambda
+from lhc.randgen import random_lambda, random_quasigroup
 
 
 def test_verify_single_cell_order_one():
@@ -69,6 +69,13 @@ def test_count_binary_baselines():
     assert count_transversals(xor_cube(3)) == 256
 
 
+def test_odd_arity_closed_form_at_seven():
+    want = 3 * 24**6 // 8 + 5 * 8**5
+    assert want == 71827456
+    assert count_transversals(cyclic_cube(7)) == want
+    assert count_transversals(xor_cube(7)) == want
+
+
 def test_enumerate_identity_permutation():
     cube = LatinHypercube(1, 4, bytes([0, 1, 2, 3]))
     ts = list(enumerate_transversals(cube))
@@ -98,20 +105,44 @@ def test_enumerate_full_xor_square():
         assert [c[0] for c in t.cells] == [0, 1, 2, 3]
 
 
+def _stream_digest(cube) -> tuple[int, str]:
+    """Length and sha256 of the enumeration stream, each transversal written
+    as its flattened cells."""
+    h = hashlib.sha256()
+    count = 0
+    for t in enumerate_transversals(cube):
+        h.update(bytes(x for cell in t.cells for x in cell))
+        count += 1
+    return count, h.hexdigest()
+
+
+# Digests of the lexicographic stream, recorded from an earlier, independent
+# implementation of the search.  Any change to the enumeration order, or to
+# the cells listed, shows up here.
+PINNED_STREAMS = [
+    ("xor n=3", lambda: xor_cube(3), 256, "e2bcc917a6ea74c09b7dec2068e9e7f1561910b63920e70a02c406dd7175954f"),
+    ("cyclic q=5 n=3", lambda: cyclic_cube(3, 5), 3325, "81ca3704cccb4d84997cdac4f67e61281d8132567ef504b80f087c794c708acb"),
+    ("example cube 2", lambda: load_fixture(EXAMPLE_CUBE_2), 96, "b30781ab23c30a08616980ccba5ed9549dfed3302b312f0c7dc787a01eb13109"),
+    ("random q=4 n=4", lambda: random_quasigroup(4, 4, random.Random(2016)), 256, "88f860c93004310dd1a68d7d2376192d151e1b748fee67bfc0170603f9c26e6a"),
+    ("order 1", lambda: LatinHypercube(3, 1, bytes(1)), 1, "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
+    ("order 2 n=3", lambda: cyclic_cube(3, 2), 4, "07818b8b8cd9e9249e2d61bc57336e24a776430fa169fb438e5d338c15039d87"),
+    ("order 2 n=4", lambda: cyclic_cube(4, 2), 0, hashlib.sha256().hexdigest()),
+]
+
+
+@pytest.mark.parametrize("make,count,digest", [p[1:] for p in PINNED_STREAMS], ids=[p[0] for p in PINNED_STREAMS])
+def test_enumeration_stream_is_pinned(make, count, digest):
+    assert _stream_digest(make()) == (count, digest)
+
+
 def test_determinism():
     cube = load_fixture(EXAMPLE_CUBE_2)
     c1, s1 = count_transversals_stats(cube)
     c2, s2 = count_transversals_stats(cube)
     assert (c1, s1.nodes_visited, s1.transversals_found) == (c2, s2.nodes_visited, s2.transversals_found)
+    assert s1.transversals_found == c1 == 96
+    assert s1.nodes_visited > 0
     assert list(enumerate_transversals(cube)) == list(enumerate_transversals(cube))
-    assert s1.transversals_found <= s1.nodes_visited
-
-
-def test_partition_counts_sum():
-    for cube in (xor_cube(3), cyclic_cube(3), load_fixture(EXAMPLE_CUBE_2), cyclic_cube(2, 5)):
-        parts = partition_counts(cube)
-        assert len(parts) == cube.q ** (cube.n - 1)
-        assert sum(parts) == count_transversals(cube)
 
 
 def test_envelope_order_limit():
