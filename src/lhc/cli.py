@@ -154,24 +154,24 @@ def _cmd_transversals(args) -> int:
 
 def _cmd_classify(args) -> int:
     cube = _read_cube(args.path)
+    # above the brindled bound delta_report fails; do that before printing
+    lam = detect_semilinear(cube) if cube.q == 4 else None
+    rep = delta_report(lam) if lam is not None else None
     print(f"arity: {cube.n}, order: {cube.q}")
     print("latin: ok")
     if cube.q != 4:
         print("standardly semilinear: not applicable (order 4 only)")
+    elif lam is None:
+        print("standardly semilinear: no")
     else:
-        lam = detect_semilinear(cube)
-        if lam is None:
-            print("standardly semilinear: no")
-        else:
-            rep = delta_report(lam)
-            print("standardly semilinear: yes")
-            print(f"lambda: {lam.to_string()}")
-            print(f"delta class: {rep.delta_class.value}")
-            print(f"zero-sum brindled quadruples: {rep.zero_sum_brindled_count}")
-            print(f"plane parity: {rep.plane_parity.value}")
-            if lam.n % 2 == 0:
-                verdict = "no-transversals" if zero_transversal_criterion(lam) else "has-transversals"
-                print(f"zero-transversal criterion: {verdict}")
+        print("standardly semilinear: yes")
+        print(f"lambda: {lam.to_string()}")
+        print(f"delta class: {rep.delta_class.value}")
+        print(f"zero-sum brindled quadruples: {rep.zero_sum_brindled_count}")
+        print(f"plane parity: {rep.plane_parity.value}")
+        if lam.n % 2 == 0:
+            verdict = "no-transversals" if zero_transversal_criterion(lam) else "has-transversals"
+            print(f"zero-transversal criterion: {verdict}")
     if cube.n < 3:
         print("reducible: not applicable (arity >= 3 only)")
     else:

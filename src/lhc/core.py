@@ -143,25 +143,33 @@ class ValidationReport:
 def validate_latin(cube: LatinHypercube) -> ValidationReport:
     """Check that every line of every axis carries q distinct symbols.
 
-    Returns a report listing each violating line; structural problems are
-    impossible here because LatinHypercube construction already rejects them.
+    Returns a report listing each violating line, axis by axis and in index
+    order; structural problems are impossible here because LatinHypercube
+    construction already rejects them.
+
+    Each cell becomes a one-hot byte lane of one big int.  Along an axis of
+    stride s, OR-ing the copies shifted by 0, s, .., (q-1)s cells leaves in
+    the lane of a line's first cell the set of symbols on that line; a line
+    is latin exactly when that lane holds all q bits.
     """
     n, q, values = cube.n, cube.q, cube.values
+    size = len(values)
+    lanes = int.from_bytes(values.translate(_ONE_HOT), "little")
+    all_ones = bytes([(1 << q) - 1])
     violations = []
     for axis in range(1, n + 1):
         stride = q ** (n - axis)
-        block = stride * q
-        for outer in range(q ** (axis - 1)):
-            base_outer = outer * block
-            for inner in range(stride):
-                start = base_outer + inner
-                seen = 0
-                for v in range(q):
-                    seen |= 1 << values[start + v * stride]
-                if seen != (1 << q) - 1:
-                    coords = coords_of(start, n, q)
-                    fixed = coords[: axis - 1] + coords[axis:]
-                    violations.append(LineRef(axis, fixed))
+        seen = lanes
+        for v in range(1, q):
+            seen |= lanes >> (8 * v * stride)
+        # all-ones in the lane of every line's first cell, zero elsewhere
+        block = all_ones * stride + bytes(stride * (q - 1))
+        firsts = int.from_bytes(block * (size // len(block)), "little")
+        missing = (seen & firsts) ^ firsts
+        if missing:
+            for hit in _NONZERO_LANE.finditer(missing.to_bytes(size, "little")):
+                coords = coords_of(hit.start(), n, q)
+                violations.append(LineRef(axis, coords[: axis - 1] + coords[axis:]))
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -207,9 +215,51 @@ def nu_cell(cell: Cell) -> tuple[int, ...]:
 
 _TOKEN = re.compile(r"\S+")
 
+# Blank or comment lines, then the header line, ending in LF or CRLF.  The
+# character classes keep out every other line break str.splitlines knows,
+# so the lines matched here are the lines the token route would see.
+_PLAIN_HEADER = re.compile(
+    rb"(?:[ \t]*(?:#[^\n\r\x0b\x0c\x1c-\x1e]*)?\r?\n)*"
+    rb"[ \t]*LHC[ \t]+([0-9]{1,2})[ \t]+([1-8])[ \t]*\r?\n"
+)
+_SPACE = b" \t\n\r\x0b\x0c"
+_SYMBOLS = b"01234567"
+_FROM_DIGIT = bytes.maketrans(_SYMBOLS, bytes(range(8)))
+_TO_DIGIT = bytes.maketrans(bytes(range(8)), _SYMBOLS)
+# every byte to b" " (whitespace) or b"x" (anything else): a token longer
+# than one character shows up as b"xx"
+_SHAPE = bytes(32 if b in _SPACE else 120 for b in range(256))
+_ONE_HOT = bytes(1 << b if b < 8 else 0 for b in range(256))
+_NONZERO_LANE = re.compile(rb"[^\x00]")
+
 
 def parse_lhc(text: str) -> LatinHypercube:
-    """Parse the .lhc text format; raises ParseError with line/column."""
+    """Parse the .lhc text format; raises ParseError with line/column.
+
+    A plain file (ASCII, leading comments only, one single-digit token per
+    symbol) is read as whole buffers.  Anything else, including every
+    malformed file, takes the token route, which alone computes positions.
+    """
+    if text.isascii():
+        data = text.encode("ascii")
+        head = _PLAIN_HEADER.match(data)
+        if head:
+            n, q = int(head[1]), int(head[2])
+            size = q**n
+            if n >= 1 and size <= MAX_CELLS:
+                body = data[head.end() :]
+                digits = body.translate(None, _SPACE)
+                if (
+                    len(digits) == size
+                    and not digits.translate(None, _SYMBOLS[:q])
+                    and b"xx" not in body.translate(_SHAPE)
+                ):
+                    return LatinHypercube(n, q, digits.translate(_FROM_DIGIT))
+    return _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> LatinHypercube:
+    """parse_lhc token by token, with the line and column of every token."""
     lines = text.splitlines()
     header = None
     header_line = 0
@@ -264,16 +314,17 @@ def parse_lhc(text: str) -> LatinHypercube:
 def serialize_lhc(cube: LatinHypercube) -> str:
     """Canonical rendering: header, then rows of q symbols, layers separated
     by blank lines for n >= 3 (x1 selects the layer)."""
-    n, q, values = cube.n, cube.q, cube.values
-    out = [f"LHC {n} {q}"]
-    if n == 1:
-        out.append(" ".join(str(v) for v in values))
-    else:
-        n_rows = q ** (n - 1)
-        layer_rows = q ** (n - 2)
-        for r in range(n_rows):
-            if n >= 3 and r and r % layer_rows == 0:
-                out.append("")
-            row = values[r * q : (r + 1) * q]
-            out.append(" ".join(str(v) for v in row))
-    return "\n".join(out) + "\n"
+    n, q = cube.n, cube.q
+    digits = cube.values.translate(_TO_DIGIT)
+    layers = q if n >= 3 else 1
+    cells = len(digits) // layers
+    # one layer: "d d .. d\n" per row, the digits landing on the even bytes
+    layer = bytearray(b" " * (2 * cells))
+    layer[2 * q - 1 :: 2 * q] = b"\n" * (cells // q)
+    out = bytearray(f"LHC {n} {q}\n", "ascii")
+    for k in range(layers):
+        if k:
+            out += b"\n"
+        layer[::2] = digits[k * cells : (k + 1) * cells]
+        out += layer
+    return out.decode("ascii")

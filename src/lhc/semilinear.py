@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 
-from .core import LatinHypercube, ParseError, UnsupportedOrderError, check_scale
+from .core import EnvelopeError, LatinHypercube, ParseError, UnsupportedOrderError, check_scale
 
 # ---------------------------------------------------------------------------
 # Boolean orientation functions
@@ -218,39 +218,64 @@ def _even_vectors(m: int) -> tuple[int, ...]:
     return tuple(v for v in range(1 << m) if v.bit_count() % 2 == 0)
 
 
+# Every brindled table holds brindled_count_closed(n) quadruples, about
+# 6^n/32: 1.9M at arity 10, 11.3M at arity 11.
+MAX_BRINDLED = 1 << 21
+
+
+def _brindled_rows(n: int, top: int) -> list[tuple[int, int, int, int]]:
+    """All brindled quadruples of (n+1)-bit vectors as sorted int 4-tuples,
+    in lexicographic order, with the top bit of z3 and z4 set to `top`.
+
+    Position 0 (the top bit) holds two zeros and two ones, so z1 < z2 are
+    the even vectors with top bit 0 and z3, z4 have it set.  Where z1 and
+    z2 agree, z3 and z4 take the complement; on d = z1 ^ z2 they split, so
+    z3 = ~(z1 | z2) | w and z4 = z3 ^ d for a submask w of d without d's
+    highest bit (that keeps z3 < z4) and of the parity that makes z3 even.
+    Taking w in increasing order lists z3 in increasing order.
+    """
+    count = brindled_count_closed(n)
+    if count > MAX_BRINDLED:
+        raise EnvelopeError(
+            f"arity {n} has {count} brindled quadruples, above the supported {MAX_BRINDLED}"
+        )
+    low = (1 << n) - 1
+    ints = list(range(1 << (n + 1)))  # shared int objects for the tuples
+    halves = _even_vectors(n)
+    splits = {}
+    for d in halves[1:]:
+        rest = d ^ (1 << (d.bit_length() - 1))
+        by_parity: tuple[list, list] = ([], [])
+        w = 0
+        while True:
+            by_parity[w.bit_count() & 1].append((w, w ^ d))
+            if w == rest:
+                break
+            w = (w - rest) & rest  # next submask of rest, in increasing order
+        splits[d] = by_parity
+    out = []
+    for i, z1 in enumerate(halves):
+        for z2 in halves[i + 1 :]:
+            base = low ^ (z1 | z2)
+            pairs = splits[z1 ^ z2][(base.bit_count() + 1) & 1]
+            base |= top
+            out += [(z1, z2, ints[base | a], ints[base | b]) for a, b in pairs]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _brindled_ints(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """All brindled quadruples of (n+1)-bit vectors as sorted int 4-tuples,
-    in lexicographic order.
-
-    For even-weight z1 < z2 < z3 the fourth vector is forced to
-    z4 = z1^z2^z3; the quadruple is proper exactly when no position is
-    constant across the four, i.e. OR is all ones and AND is zero.
-    """
-    m = n + 1
-    full = (1 << m) - 1
-    ev = _even_vectors(m)
-    out = []
-    for i, z1 in enumerate(ev):
-        for j in range(i + 1, len(ev)):
-            z2 = ev[j]
-            for k in range(j + 1, len(ev)):
-                z3 = ev[k]
-                z4 = z1 ^ z2 ^ z3
-                if z4 <= z3:
-                    continue
-                if (z1 | z2 | z3 | z4) != full or (z1 & z2 & z3 & z4):
-                    continue
-                out.append((z1, z2, z3, z4))
-    return tuple(out)
+    in lexicographic order."""
+    return tuple(_brindled_rows(n, 1 << n))
 
 
 def enumerate_brindled(n: int):
-    """Yield each unordered brindled quadruple of (n+1)-vectors once,
-    vectors sorted, quadruples in lexicographic order."""
+    """Iterator over each unordered brindled quadruple of (n+1)-vectors
+    once, vectors sorted, quadruples in lexicographic order.  Raises
+    EnvelopeError at once above MAX_BRINDLED quadruples."""
     m = n + 1
-    for quad in _brindled_ints(n):
-        yield Quadruple(tuple(_int_to_vec(v, m) for v in quad))
+    return (Quadruple(tuple(_int_to_vec(v, m) for v in quad)) for quad in _brindled_ints(n))
 
 
 def enumerate_twin(n: int):
@@ -332,10 +357,7 @@ def census_recurrence(n: int) -> QuadrupleCensus:
 def _brindled_bar_indices(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """For every brindled quadruple, the four lam-domain indices obtained by
     dropping position 0 of each vector."""
-    mask = (1 << n) - 1
-    return tuple(
-        (z1 & mask, z2 & mask, z3 & mask, z4 & mask) for z1, z2, z3, z4 in _brindled_ints(n)
-    )
+    return tuple(_brindled_rows(n, 0))
 
 
 def count_transversals_formula(lam: BooleanFn) -> int:

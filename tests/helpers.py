@@ -4,7 +4,16 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from lhc import BinaryOp, BooleanFn, GroupKind, Transversal, gen_iterated_group
+from lhc import (
+    BinaryOp,
+    BooleanFn,
+    GroupKind,
+    LineRef,
+    Transversal,
+    ValidationReport,
+    coords_of,
+    gen_iterated_group,
+)
 
 # The two binary order-4 squares behind the layered example cubes: L0 has no
 # transversals, Z4ADD is plain cyclic addition.
@@ -49,3 +58,59 @@ def brute_force_transversals(cube) -> set:
         if len(set(outputs)) == q:
             found.add(Transversal.of((a,) + x for a, x in zip(outputs, inputs)))
     return found
+
+
+# ---------------------------------------------------------------------------
+# Cell-by-cell references for the whole-buffer routines in lhc.core and the
+# linear brindled construction in lhc.semilinear
+# ---------------------------------------------------------------------------
+
+
+def reference_validate_latin(cube) -> ValidationReport:
+    """validate_latin one line and one cell at a time."""
+    n, q, values = cube.n, cube.q, cube.values
+    violations = []
+    for axis in range(1, n + 1):
+        stride = q ** (n - axis)
+        block = stride * q
+        for outer in range(q ** (axis - 1)):
+            for inner in range(stride):
+                start = outer * block + inner
+                seen = 0
+                for v in range(q):
+                    seen |= 1 << values[start + v * stride]
+                if seen != (1 << q) - 1:
+                    coords = coords_of(start, n, q)
+                    violations.append(LineRef(axis, coords[: axis - 1] + coords[axis:]))
+    return ValidationReport(not violations, tuple(violations))
+
+
+def reference_serialize_lhc(cube) -> str:
+    """serialize_lhc one row at a time."""
+    n, q, values = cube.n, cube.q, cube.values
+    out = [f"LHC {n} {q}"]
+    if n == 1:
+        out.append(" ".join(str(v) for v in values))
+    else:
+        layer_rows = q ** (n - 2)
+        for r in range(q ** (n - 1)):
+            if n >= 3 and r and r % layer_rows == 0:
+                out.append("")
+            out.append(" ".join(str(v) for v in values[r * q : (r + 1) * q]))
+    return "\n".join(out) + "\n"
+
+
+def reference_brindled_ints(n: int) -> list:
+    """Sorted brindled quadruples of (n+1)-bit vectors by the triple loop
+    over even vectors z1 < z2 < z3, with z4 = z1 ^ z2 ^ z3 forced."""
+    full = (1 << (n + 1)) - 1
+    ev = [v for v in range(full + 1) if v.bit_count() % 2 == 0]
+    out = []
+    for i, z1 in enumerate(ev):
+        for j in range(i + 1, len(ev)):
+            z2 = ev[j]
+            for z3 in ev[j + 1 :]:
+                z4 = z1 ^ z2 ^ z3
+                if z4 > z3 and (z1 | z2 | z3 | z4) == full and not (z1 & z2 & z3 & z4):
+                    out.append((z1, z2, z3, z4))
+    return out

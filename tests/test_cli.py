@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
-from lhc import parse_lhc, lambda_z4, gen_semilinear, serialize_lhc
+from lhc import brindled_count_closed, parse_lhc, lambda_z4, gen_semilinear, serialize_lhc, semilinear
 from lhc.cli import main
 
 
@@ -174,6 +175,32 @@ def test_quadruples_report(capsys):
     assert "zero-sum brindled quadruples: 40" in out
     assert "formula transversal count: 5120" in out
     assert "zero-transversal criterion: has-transversals" in out
+
+
+def test_quadruples_above_the_brindled_bound_fails_fast(capsys):
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "quadruples", "--lambda", "0" * 2**11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert out == ""
+    assert "brindled quadruples" in err
+    assert peak < 1 << 20
+
+
+def test_classify_above_the_brindled_bound_prints_nothing(tmp_path, capsys, monkeypatch):
+    # an arity-11 cube takes seconds to build, so the bound is lowered to
+    # put arity 6 above it
+    path = tmp_path / "s6.lhc"
+    run(capsys, "gen", "semilinear", "--lambda", "0" * 64, "-o", str(path))
+    monkeypatch.setattr(semilinear, "MAX_BRINDLED", brindled_count_closed(6) - 1)
+    semilinear._brindled_bar_indices.cache_clear()
+    rc, out, err = run(capsys, "classify", str(path))
+    assert rc == 2
+    assert out == ""
+    assert "brindled quadruples" in err
 
 
 def test_verify_subset(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -164,3 +165,79 @@ def test_parse_error_positions():
         parse_lhc("CUBE 2 2\n0 1 1 0")
     with pytest.raises(ParseError):
         parse_lhc("")
+
+
+# (text, message, line, column) recorded from the token-by-token parser that
+# predates the whole-buffer route; every text here must keep its error.
+MALFORMED = [
+    ("LHC 2 2\n0 1\n1 0 1\n", "expected 4 symbols, found extra token '1'", 3, 5),
+    ("LHC 2 2\n0 1\n1\n", "expected 4 symbols, got 3", 3, 1),
+    ("LHC 2 2\n0 1\n1 x\n", "not an integer: 'x'", 3, 3),
+    ("LHC 2 2\n0 1\n1 7\n", "symbol 7 out of range for order 2", 3, 3),
+    ("LHC 2 2\n0 1 # note\n1 0\n", "expected 4 symbols, found extra token '1'", 3, 1),
+    ("LHC 1 2\n0 #1\n", "not an integer: '#1'", 2, 3),
+    ("CUBE 2 2\n0 1\n1 0\n", "expected 'LHC' header, got 'CUBE'", 1, 1),
+    ("LHC 2\n0 1\n1 0\n", "header must be exactly 'LHC <n> <q>'", 1, 1),
+    ("LHC two 2\n0 1\n1 0\n", "header arity/order must be integers", 1, 5),
+    ("LHC 2 9\n0 1\n1 0\n", "unsupported arity/order n=2 q=9", 1, 5),
+    ("LHC 25 2\n0\n", "q**n = 33554432 exceeds the supported scale", 1, 5),
+    ("", "empty input, expected 'LHC <n> <q>' header", 1, 1),
+    ("# nothing\n   # here\n", "empty input, expected 'LHC <n> <q>' header", 1, 1),
+    ("# head\nLHC 2 2\n0 1\n# between\n1 5\n", "symbol 5 out of range for order 2", 5, 3),
+    ("LHC 2 2\r\n0 1\r\n1 x\r\n", "not an integer: 'x'", 3, 3),
+    ("LHC 2 2\r\n0 1\r\n\r\n", "expected 4 symbols, got 2", 3, 1),
+    ("LHC 2 2\r0 1\r1 x", "not an integer: 'x'", 3, 3),
+    ("LHC 2 2\n0 1\x0c1 x\n", "not an integer: 'x'", 3, 3),
+    ("LHC 2 2\n0\x0b1\n1 x\n", "not an integer: 'x'", 4, 3),
+    ("LHC 2 2\n0 1\x1f1 x\n", "not an integer: 'x'", 2, 7),
+    ("LHC 2 2\n0 1\n1 \u00e9\n", "not an integer: '\u00e9'", 3, 3),
+    ("LHC 2 2\n0\xa01\n1 x\n", "not an integer: 'x'", 3, 3),
+    ("LHC 2 2\n0 1\n1 \uff17\n", "symbol 7 out of range for order 2", 3, 3),
+    ("LHC 1 2\n01\n", "expected 2 symbols, got 1", 2, 1),
+    ("# c\rLHC 1 2\nLHC 1 2\n0 1\n", "expected 2 symbols, found extra token '2'", 3, 7),
+]
+
+
+@pytest.mark.parametrize("text,message,line,column", MALFORMED)
+def test_parse_error_corpus(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_lhc(text)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+# texts the token-by-token parser accepted, with the values it read
+ACCEPTED = [
+    ("# head\nLHC 2 2\n0 1\n# between\n1 0\n", 2, 2, bytes([0, 1, 1, 0])),
+    ("LHC 2 2\r\n0 1\r\n1 0\r\n", 2, 2, bytes([0, 1, 1, 0])),
+    ("LHC 2 2\n0\x0c1\n1\x0b0\n", 2, 2, bytes([0, 1, 1, 0])),
+    ("LHC 2 2\n01 +1\n1 -0\n", 2, 2, bytes([1, 1, 1, 0])),
+    ("LHC 2 2\n\uff10 \uff11\n1 0\n", 2, 2, bytes([0, 1, 1, 0])),
+    ("LHC 1 3\n0 1 0_2\n", 1, 3, bytes([0, 1, 2])),
+    ("\n  LHC\t2\t2  \n\t0 1\n1 0", 2, 2, bytes([0, 1, 1, 0])),
+    ("# c\n\n# d\r\n LHC 1 4 \r\n3 2\t1\x0b0\x0c\r\n", 1, 4, bytes([3, 2, 1, 0])),
+    ("# c\x0bLHC 1 2\n0 1\n", 1, 2, bytes([0, 1])),
+    ("#\x1cLHC 1 2\n0 1\n", 1, 2, bytes([0, 1])),
+    ("LHC 1 2\n0 1\n# tail\n", 1, 2, bytes([0, 1])),
+    ("LHC 1 2\n0\x1c1\n", 1, 2, bytes([0, 1])),
+]
+
+
+@pytest.mark.parametrize("text,n,q,values", ACCEPTED)
+def test_parse_accepted_corpus(text, n, q, values):
+    assert parse_lhc(text) == LatinHypercube(n, q, values)
+
+
+def test_parse_memory_is_linear_in_the_file():
+    # 4^10 = 1,048,576 symbols, about 2 MB of text; the token-by-token
+    # parser peaked near 100 MB here
+    cube = LatinHypercube(10, 4, bytes(range(4)) * 4**9)
+    text = serialize_lhc(cube)
+    tracemalloc.start()
+    try:
+        parsed = parse_lhc(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == cube
+    assert peak < 16 << 20

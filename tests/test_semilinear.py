@@ -7,10 +7,11 @@ from itertools import combinations, product
 
 import pytest
 
-from helpers import all_lambdas, lambda_from_string, xor_cube
+from helpers import all_lambdas, lambda_from_string, reference_brindled_ints, xor_cube
 from lhc import (
     BooleanFn,
     DeltaClass,
+    EnvelopeError,
     ParseError,
     PlaneParity,
     Quadruple,
@@ -36,6 +37,7 @@ from lhc import (
 )
 from lhc.algebra import GroupKind
 from lhc.randgen import random_lambda
+from lhc.semilinear import MAX_BRINDLED, _brindled_bar_indices, _brindled_ints
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +160,29 @@ def test_enumerate_brindled_matches_brute_force(n):
     # combinations() oracle only sees 4 *distinct* vectors, which is exactly
     # the brindled case
     assert set(enumerated) == _brute_force_brindled(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_brindled_tables_match_triple_loop(n):
+    expected = reference_brindled_ints(n)
+    assert list(_brindled_ints(n)) == expected
+    low = (1 << n) - 1
+    assert list(_brindled_bar_indices(n)) == [tuple(z & low for z in quad) for quad in expected]
+
+
+def test_brindled_tables_are_bounded():
+    # arity 10 (1.9M quadruples) is the last one built; arity 11 would hold
+    # 11.3M and is refused before anything is allocated
+    assert brindled_count_closed(10) <= MAX_BRINDLED < brindled_count_closed(11)
+    zero11, zero12 = BooleanFn(11, (0,) * 2**11), BooleanFn(12, (0,) * 2**12)
+    for call in (
+        lambda: enumerate_brindled(11),
+        lambda: delta_report(zero11),
+        lambda: count_transversals_formula(zero11),
+        lambda: zero_transversal_criterion(zero12),
+    ):
+        with pytest.raises(EnvelopeError, match="brindled quadruples"):
+            call()
 
 
 def test_enumerate_twin_counts():
