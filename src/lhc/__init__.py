@@ -24,11 +24,9 @@ from .algebra import (
     fiber_quasigroup,
     find_factorization,
     gen_iterated_group,
-    is_reducible,
     lift_transversals_fiber,
     lift_transversals_product,
     lower_bound_completely_reducible,
-    right_inverse,
     slice_first,
 )
 from .core import (
@@ -42,12 +40,9 @@ from .core import (
     UnsupportedOrderError,
     ValidationReport,
     coords_of,
-    graph_cells,
     index_of,
     l_cell,
     l_of,
-    nu_cell,
-    nu_of,
     parse_lhc,
     serialize_lhc,
     validate_latin,
@@ -77,7 +72,6 @@ from .semilinear import (
     delta_report,
     detect_semilinear,
     enumerate_brindled,
-    enumerate_twin,
     gen_semilinear,
     lambda_z4,
     lambda_z22,

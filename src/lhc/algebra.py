@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations, repeat
+from operator import add, getitem, mul
 
-from .core import LatinHypercube, StructuralError, check_scale, index_of
-from .engine import Transversal, verify_transversal
+from .core import EnvelopeError, LatinHypercube, StructuralError, cell_sums, check_scale
+from .engine import ENVELOPE_MAX_CELLS, Transversal, verify_transversal
 
 # ---------------------------------------------------------------------------
 # Permutations
@@ -34,6 +35,29 @@ def inverse_permutation(perm) -> tuple[int, ...]:
     for i, v in enumerate(perm):
         inv[v] = i
     return tuple(inv)
+
+
+# ---------------------------------------------------------------------------
+# Streams over the cells of a table, in index order (see core.cell_sums)
+# ---------------------------------------------------------------------------
+
+
+def _strided(strides, q: int) -> list[list[int]]:
+    """Per-axis weights x * stride, for cell_sums."""
+    return [[x * s for x in range(q)] for s in strides]
+
+
+def _gather(table, indices):
+    """table[i] for each i; unlike bytes.__getitem__, no argument tuple per item."""
+    return map(getitem, repeat(table), indices)
+
+
+def _index_stream(axes, n: int, q: int):
+    """For every cell of an n-axis table, in index order, its index in the
+    table over `axes` alone (0-based, in that order).  One axis gives that
+    coordinate."""
+    stride = dict(zip(reversed(axes), (q**k for k in range(len(axes)))))
+    return cell_sums(_strided([stride.get(i, 0) for i in range(n)], q))
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +98,8 @@ class BinaryOp:
         q = cube.q
         return cls(q, tuple(tuple(cube.values[r * q : (r + 1) * q]) for r in range(q)))
 
-    def apply(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def as_cube(self) -> LatinHypercube:
         return LatinHypercube(2, self.q, bytes(v for row in self.table for v in row))
-
-
-def right_inverse(op: BinaryOp) -> BinaryOp:
-    """The operation solving x1 from x1 * x2 = x0: table[x0][x2] = x1."""
-    q = op.q
-    t = [[0] * q for _ in range(q)]
-    for x1 in range(q):
-        row = op.table[x1]
-        for x2 in range(q):
-            t[row[x2]][x2] = x1
-    return BinaryOp(q, tuple(tuple(r) for r in t))
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +125,16 @@ def gen_iterated_group(kind: GroupKind, n: int, q: int) -> LatinHypercube:
         raise ValueError(f"order must be >= 2, got {q}")
     if kind in (GroupKind.Z4, GroupKind.Z2X2) and q != 4:
         raise ValueError(f"group kind {kind.value} requires order 4, got {q}")
-    out = bytearray(check_scale(n, q))
+    check_scale(n, q)
     if kind is GroupKind.Z2X2:
-        for idx, x in enumerate(product(range(q), repeat=n)):
-            acc = 0
-            for v in x:
-                acc ^= v
-            out[idx] = acc
+        # each coordinate adds its low bit and n+1 times its high bit, so a
+        # sum holds both bit counts and the table reads off their parities
+        weights = (0, 1, n + 1, n + 2)
+        table = [(s % (n + 1) & 1) | (s // (n + 1) & 1) << 1 for s in range((n + 1) ** 2)]
     else:
-        for idx, x in enumerate(product(range(q), repeat=n)):
-            out[idx] = (-sum(x)) % q
-    return LatinHypercube(n, q, bytes(out))
+        weights = range(q)
+        table = [-s % q for s in range(n * (q - 1) + 1)]
+    return LatinHypercube(n, q, bytes(map(table.__getitem__, cell_sums([weights] * n))))
 
 
 # ---------------------------------------------------------------------------
@@ -162,28 +171,26 @@ def apply_isotopy(cube: LatinHypercube, perms) -> LatinHypercube:
     if len(perms) != n + 1:
         raise ValueError(f"expected {n + 1} permutations, got {len(perms)}")
     inv0 = inverse_permutation(perms[0])
-    out = bytearray(cube.size)
-    values = cube.values
-    for idx, y in enumerate(product(range(q), repeat=n)):
-        src = 0
-        for i, yi in enumerate(y):
-            src = src * q + perms[i + 1][yi]
-        out[idx] = inv0[values[src]]
-    return LatinHypercube(n, q, bytes(out))
+    # a gather: cell y reads the source cell (s1(y1), .., sn(yn))
+    strides = [q ** (n - i) for i in range(1, n + 1)]
+    sources = cell_sums([[p[y] * s for y in range(q)] for p, s in zip(perms[1:], strides)])
+    return LatinHypercube(n, q, bytes(_gather(inv0, _gather(cube.values, sources))))
 
 
 def apply_parastrophe(cube: LatinHypercube, pi) -> LatinHypercube:
     """Re-read the graph with role i taking the old role pi(i)."""
     n, q = cube.n, cube.q
     pi = check_permutation(pi, n + 1)
+    # a scatter: the graph cell (x0..xn) lands at the index spelt by its
+    # roles pi(1)..pi(n) and holds its role pi(0)
+    stride = [0] * (n + 1)
+    for i in range(1, n + 1):
+        stride[pi[i]] = q ** (n - i)
+    dests = map(add, cell_sums(_strided(stride[1:], q)), map(mul, repeat(stride[0]), cube.values))
+    held = cube.values if pi[0] == 0 else _index_stream([pi[0] - 1], n, q)
     out = bytearray(cube.size)
-    values = cube.values
-    for idx, x in enumerate(product(range(q), repeat=n)):
-        cell = (values[idx],) + x
-        dest = 0
-        for i in range(1, n + 1):
-            dest = dest * q + cell[pi[i]]
-        out[dest] = cell[pi[0]]
+    for dest, v in zip(dests, held):
+        out[dest] = v
     return LatinHypercube(n, q, bytes(out))
 
 
@@ -234,10 +241,13 @@ def _collect(node, leaves: list[int], ops: list[BinaryOp]) -> None:
         raise ValueError(f"not a tree node: {node!r}")
 
 
-def _eval_tree(node, args: tuple[int, ...]) -> int:
+def _tree_stream(node, n: int, q: int):
+    """The node's value at every cell, in index order: a leaf is a
+    coordinate stream, a node looks its two children up in its table."""
     if isinstance(node, Leaf):
-        return args[node.var - 1]
-    return node.op.table[_eval_tree(node.left, args)][_eval_tree(node.right, args)]
+        return _index_stream([node.var - 1], n, q)
+    rows = _gather(node.op.table, _tree_stream(node.left, n, q))
+    return map(getitem, rows, _tree_stream(node.right, n, q))
 
 
 def compose(spec: CompositionSpec) -> LatinHypercube:
@@ -254,11 +264,8 @@ def compose(spec: CompositionSpec) -> LatinHypercube:
     if len(qs) != 1:
         raise ValueError(f"mixed orders in tree: {sorted(qs)}")
     q = qs.pop()
-    out = bytearray(check_scale(spec.n, q))
-    root = spec.root
-    for idx, x in enumerate(product(range(q), repeat=spec.n)):
-        out[idx] = _eval_tree(root, x)
-    cube = LatinHypercube(spec.n, q, bytes(out))
+    check_scale(spec.n, q)
+    cube = LatinHypercube(spec.n, q, bytes(_tree_stream(spec.root, spec.n, q)))
     if spec.post_transform is not None:
         cube = apply_transform(cube, spec.post_transform)
     return cube
@@ -302,14 +309,12 @@ class TwoLevelComposition:
 
     def compose(self) -> LatinHypercube:
         n, q = self.n, self.inner.q
-        inner_pos = tuple(v - 1 for v in self.inner_vars)
-        rest_pos = tuple(v - 1 for v in self.rest_vars)
-        out = bytearray(check_scale(n, q))
-        inner, outer = self.inner, self.outer
-        for idx, x in enumerate(product(range(q), repeat=n)):
-            y = inner[tuple(x[p] for p in inner_pos)]
-            out[idx] = outer[(y,) + tuple(x[p] for p in rest_pos)]
-        return LatinHypercube(n, q, bytes(out))
+        check_scale(n, q)
+        ys = _gather(self.inner.values, _index_stream([v - 1 for v in self.inner_vars], n, q))
+        # outer index = inner value * q^|rest| + the index of x_rest
+        shifted = map(mul, repeat(q ** (self.outer.n - 1)), ys)
+        outer_index = map(add, shifted, _index_stream([v - 1 for v in self.rest_vars], n, q))
+        return LatinHypercube(n, q, bytes(_gather(self.outer.values, outer_index)))
 
 
 def factor_on_subset(cube: LatinHypercube, subset) -> TwoLevelComposition | None:
@@ -329,20 +334,13 @@ def factor_on_subset(cube: LatinHypercube, subset) -> TwoLevelComposition | None
     m = len(subset)
     rest = tuple(v for v in range(1, n + 1) if v not in set(subset))
     n_rest = n - m
-    # flat-index weights per variable position
-    weight = [q ** (n - i) for i in range(1, n + 1)]
-    sub_w = [weight[v - 1] for v in subset]
-    rest_w = [weight[v - 1] for v in rest]
-    rest_offsets = []
-    for xr in product(range(q), repeat=n_rest):
-        rest_offsets.append(sum(w * c for w, c in zip(rest_w, xr)))
+    rest_offsets = list(cell_sums(_strided([q ** (n - v) for v in rest], q)))
     values = cube.values
 
     signatures: dict[bytes, int] = {}
     inner_vals = bytearray(q**m)
-    for s_idx, xs in enumerate(product(range(q), repeat=m)):
-        base = sum(w * c for w, c in zip(sub_w, xs))
-        col = bytes(values[base + off] for off in rest_offsets)
+    for s_idx, base in enumerate(cell_sums(_strided([q ** (n - v) for v in subset], q))):
+        col = bytes(_gather(values, map(add, repeat(base), rest_offsets)))
         if col not in signatures:
             signatures[col] = col[0]
             if len(signatures) > q:
@@ -367,21 +365,19 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
     first.  Splitting the n+1 graph roles on any block is equivalent to
     splitting on its complement, and the complement of an all-input block
     holds the output role, so sweeping input subsets covers every
-    parastrophic split."""
+    parastrophic split.  Cubes above the search envelope's cell bound are
+    refused before any subset is tried."""
     n = cube.n
     if n < 3:
         raise ValueError(f"reducibility needs arity >= 3, got {n}")
+    if cube.size > ENVELOPE_MAX_CELLS:
+        raise EnvelopeError(f"factorization supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
             fac = factor_on_subset(cube, subset)
             if fac is not None:
                 return fac
     return None
-
-
-def is_reducible(cube: LatinHypercube) -> bool:
-    """True iff some parastrophe of the cube factors on some input subset."""
-    return find_factorization(cube) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +393,13 @@ def fiber_quasigroup(cube: LatinHypercube, a: int) -> LatinHypercube:
         raise ValueError("fiber needs arity >= 2")
     if not 0 <= a < q:
         raise ValueError(f"symbol {a} out of range")
-    out = bytearray(q ** (n - 1))
-    values = cube.values
-    for idx, x in enumerate(product(range(q), repeat=n)):
-        if values[idx] == a:
-            out[index_of(x[1:], n - 1, q)] = x[0]
+    block = q ** (n - 1)
+    out = bytearray(block)
+    # cell index = x1 * q^(n-1) + the index of (x2..xn)
+    for idx, v in enumerate(cube.values):
+        if v == a:
+            x1, rest = divmod(idx, block)
+            out[rest] = x1
     return LatinHypercube(n - 1, q, bytes(out))
 
 
@@ -434,22 +432,11 @@ def lift_transversals_product(
         raise ValueError("tg is not a transversal of the outer factor")
     if not verify_transversal(split.inner, th):
         raise ValueError("th is not a transversal of the inner factor")
-    q = split.inner.q
-    n = split.n
     by_arg = {cell[1]: cell for cell in tg.cells}
     by_out = {cell[0]: cell for cell in th.cells}
-    cells = []
-    for v in range(q):
-        ocell = by_arg[v]
-        icell = by_out[v]
-        x = [0] * (n + 1)
-        x[0] = ocell[0]
-        for pos, var in enumerate(split.inner_vars):
-            x[var] = icell[1 + pos]
-        for pos, var in enumerate(split.rest_vars):
-            x[var] = ocell[2 + pos]
-        cells.append(tuple(x))
-    return Transversal.of(cells)
+    return Transversal.of(
+        _joined_cell(split, by_arg[v][0], by_out[v][1:], by_arg[v][2:]) for v in range(split.inner.q)
+    )
 
 
 def lift_transversals_fiber(
@@ -474,21 +461,17 @@ def lift_transversals_fiber(
     outer_slice = slice_first(split.outer, a)
     if not verify_transversal(outer_slice, t_g_a):
         raise ValueError("t_g_a is not a transversal of the outer slice")
-    n = split.n
-    hcells = t_h_a.cells
-    gcells = t_g_a.cells
-    cells = []
-    for i in range(q):
-        hcell = hcells[i]
-        gcell = gcells[tau[i]]
-        x = [0] * (n + 1)
-        x[0] = gcell[0]
-        for pos, var in enumerate(split.inner_vars):
-            x[var] = hcell[pos]
-        for pos, var in enumerate(split.rest_vars):
-            x[var] = gcell[1 + pos]
-        cells.append(tuple(x))
-    return Transversal.of(cells)
+    gcells = [t_g_a.cells[t] for t in tau]
+    return Transversal.of(_joined_cell(split, g[0], h, g[1:]) for h, g in zip(t_h_a.cells, gcells))
+
+
+def _joined_cell(split: TwoLevelComposition, x0: int, inner_args, rest_args) -> tuple[int, ...]:
+    """The graph cell of the composed cube with output x0, inner variables
+    inner_args and remaining variables rest_args."""
+    x = [x0] + [0] * split.n
+    for var, v in zip(split.inner_vars + split.rest_vars, (*inner_args, *rest_args)):
+        x[var] = v
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

@@ -154,9 +154,10 @@ def _cmd_transversals(args) -> int:
 
 def _cmd_classify(args) -> int:
     cube = _read_cube(args.path)
-    # above the brindled bound delta_report fails; do that before printing
+    # delta_report and find_factorization refuse oversized cubes: run them before printing
     lam = detect_semilinear(cube) if cube.q == 4 else None
     rep = delta_report(lam) if lam is not None else None
+    fac = find_factorization(cube) if cube.n >= 3 else None
     print(f"arity: {cube.n}, order: {cube.q}")
     print("latin: ok")
     if cube.q != 4:
@@ -174,13 +175,11 @@ def _cmd_classify(args) -> int:
             print(f"zero-transversal criterion: {verdict}")
     if cube.n < 3:
         print("reducible: not applicable (arity >= 3 only)")
+    elif fac is None:
+        print("reducible: no")
     else:
-        fac = find_factorization(cube)
-        if fac is None:
-            print("reducible: no")
-        else:
-            inner = ",".join(map(str, fac.inner_vars))
-            print(f"reducible: yes (inner variables {inner})")
+        inner = ",".join(map(str, fac.inner_vars))
+        print(f"reducible: yes (inner variables {inner})")
     return 0
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, cycle, repeat
+from operator import add
 from typing import Iterator
 
 Cell = tuple[int, ...]
@@ -76,6 +77,26 @@ def coords_of(index: int, n: int, q: int) -> Cell:
     return tuple(out)
 
 
+def cell_sums(weights) -> Iterator[int]:
+    """For every cell of a table over the axes of `weights`, in index order,
+    the sum of weights[i][x_i] over the axes i.
+
+    The sums over the first and over the second half of the axes are listed
+    apart and added as the cells stream past, so at most O(q^(n/2)) ints
+    are held however large the table is.
+    """
+    half = len(weights) // 2
+    high, low = _axis_sums(weights[:half]), _axis_sums(weights[half:])
+    return map(add, chain.from_iterable(map(repeat, high, repeat(len(low)))), cycle(low))
+
+
+def _axis_sums(weights) -> list[int]:
+    sums = [0]
+    for w in weights:
+        sums = [s + x for s in sums for x in w]
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # The hypercube value type
 # ---------------------------------------------------------------------------
@@ -113,10 +134,6 @@ class LatinHypercube:
             raise StructuralError(f"expected {size} symbols, got {len(self.values)}")
         if size and max(self.values) >= self.q:
             raise StructuralError(f"symbol {max(self.values)} out of range for order {self.q}")
-
-    @classmethod
-    def from_values(cls, n: int, q: int, values) -> "LatinHypercube":
-        return cls(n, q, bytes(values))
 
     @property
     def size(self) -> int:
@@ -173,13 +190,6 @@ def validate_latin(cube: LatinHypercube) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
-def graph_cells(cube: LatinHypercube) -> Iterator[Cell]:
-    """Yield the q**n graph cells (x0, x1..xn) in table-index order."""
-    values = cube.values
-    for idx, inputs in enumerate(product(range(cube.q), repeat=cube.n)):
-        yield (values[idx],) + inputs
-
-
 # ---------------------------------------------------------------------------
 # Order-4 helper functions
 # ---------------------------------------------------------------------------
@@ -191,19 +201,8 @@ def l_of(s: int) -> int:
     return s >> 1
 
 
-def nu_of(s: int) -> int:
-    """Swap within a pair: 0<->1, 2<->3.  An involution with l(nu(s)) = l(s)."""
-    if not 0 <= s < 4:
-        raise UnsupportedOrderError(f"nu is defined on symbols 0..3, got {s}")
-    return s ^ 1
-
-
 def l_cell(cell: Cell) -> tuple[int, ...]:
     return tuple(l_of(x) for x in cell)
-
-
-def nu_cell(cell: Cell) -> tuple[int, ...]:
-    return tuple(nu_of(x) for x in cell)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +288,10 @@ def _parse_tokens(text: str) -> LatinHypercube:
         raise ParseError("header arity/order must be integers", header_line, header[1][2]) from None
     if n < 1 or not 1 <= q <= MAX_ORDER:
         raise ParseError(f"unsupported arity/order n={n} q={q}", header_line, header[1][2])
+    # bound the arity before computing q**n: a huge header would otherwise
+    # build (and fail to print) a huge power
+    if q >= 2 and n > MAX_CELLS.bit_length():
+        raise ParseError(f"q**n = {q}**{n} exceeds the supported scale", header_line, header[1][2])
     expected = q**n
     if expected > MAX_CELLS:
         raise ParseError(f"q**n = {expected} exceeds the supported scale", header_line, header[1][2])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator
 
-from .core import Cell, EnvelopeError, LatinHypercube, UnsupportedOrderError, l_cell
+from .core import Cell, EnvelopeError, LatinHypercube, UnsupportedOrderError, cell_sums, l_cell
 from .semilinear import Quadruple, detect_semilinear
 
 ENVELOPE_MAX_ORDER = 6
@@ -96,10 +96,7 @@ def _prepare(cube: LatinHypercube) -> list[tuple[list[int], list[int]]]:
     input masks, both in index order."""
     _check_envelope(cube)
     n, q = cube.n, cube.q
-    masks = [0]
-    for i in range(n):
-        bits = [1 << (q * i + x) for x in range(q)]
-        masks = [m | b for m in masks for b in bits]
+    masks = list(cell_sums([[1 << (q * i + x) for x in range(q)] for i in range(n)]))
     indices: list[list[int]] = [[] for _ in range(q)]
     for idx, a in enumerate(cube.values):
         indices[a].append(idx)

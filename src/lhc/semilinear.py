@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
 
-from .core import EnvelopeError, LatinHypercube, ParseError, UnsupportedOrderError, check_scale
+from .core import EnvelopeError, LatinHypercube, ParseError, UnsupportedOrderError, cell_sums, check_scale
 
 # ---------------------------------------------------------------------------
 # Boolean orientation functions
@@ -53,9 +52,6 @@ class BooleanFn:
 
     def to_string(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-    def at(self, index: int) -> int:
-        return self.bits[index]
 
     def __call__(self, z: tuple[int, ...]) -> int:
         idx = 0
@@ -113,49 +109,35 @@ def lambda_z22(n: int) -> BooleanFn:
 
 def gen_semilinear(lam: BooleanFn) -> LatinHypercube:
     """Order-4 cube with f(x) = x1 ^ ... ^ xn ^ lam(l(x1)..l(xn))."""
-    n = lam.n
-    bits = lam.bits
-    out = bytearray(check_scale(n, 4))
-    for idx, x in enumerate(product(range(4), repeat=n)):
-        acc = 0
-        block = 0
-        for v in x:
-            acc ^= v
-            block = (block << 1) | (v >> 1)
-        out[idx] = acc ^ bits[block]
-    return LatinHypercube(n, 4, bytes(out))
+    n, bits = lam.n, lam.bits
+    check_scale(n, 4)
+    # x_i adds its pair bit l(x_i) at bit n-i of the block index and its
+    # low bit to a count kept above bit n; the XOR of the x_i is the
+    # parity of that count plus twice the parity of the block
+    block = (1 << n) - 1
+    table = [((s >> n) & 1 | ((s & block).bit_count() & 1) << 1) ^ bits[s & block]
+             for s in range((n + 1) << n)]
+    weights = [[(x >> 1) << (n - i) | (x & 1) << n for x in range(4)] for i in range(1, n + 1)]
+    return LatinHypercube(n, 4, bytes(map(table.__getitem__, cell_sums(weights))))
 
 
 def detect_semilinear(cube: LatinHypercube) -> BooleanFn | None:
     """Recover the orientation function, or None if the cube is not exactly
     of the gen_semilinear form.
 
-    Checks that every graph cell has even pair-indicator parity and that the
-    full-cell XOR is constant within each input block.
+    The only candidate is read at the 2^n cells x = 2h, where x1 ^ .. ^ xn
+    is twice the parity of h; the cube is semilinear exactly when the cube
+    built from it is the same table.
     """
     if cube.q != 4:
         raise UnsupportedOrderError(f"semilinearity is an order-4 notion, got q={cube.q}")
-    n = cube.n
-    values = cube.values
-    bits: list[int | None] = [None] * (1 << n)
-    for idx, x in enumerate(product(range(4), repeat=n)):
-        x0 = values[idx]
-        acc = x0
-        par = x0 >> 1
-        block = 0
-        for v in x:
-            acc ^= v
-            par ^= v >> 1
-            block = (block << 1) | (v >> 1)
-        if par:
-            return None
-        # par == 0 forces acc into {0, 1}
-        prev = bits[block]
-        if prev is None:
-            bits[block] = acc
-        elif prev != acc:
-            return None
-    return BooleanFn(n, tuple(bits))  # type: ignore[arg-type]
+    n, values = cube.n, cube.values
+    corners = cell_sums([(0, 2 * 4 ** (n - i)) for i in range(1, n + 1)])
+    bits = tuple(values[idx] ^ (h.bit_count() & 1) << 1 for h, idx in enumerate(corners))
+    if max(bits) > 1:
+        return None
+    lam = BooleanFn(n, bits)
+    return lam if gen_semilinear(lam).values == values else None
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +168,6 @@ class Quadruple:
         if len(vecs) != 4:
             raise ValueError(f"a quadruple has 4 vectors, got {len(vecs)}")
         return cls(vecs)
-
-    @property
-    def length(self) -> int:
-        return len(self.vectors[0])
 
 
 def classify_quadruple(qd: Quadruple) -> QuadrupleClass:
@@ -278,19 +256,6 @@ def enumerate_brindled(n: int):
     return (Quadruple(tuple(_int_to_vec(v, m) for v in quad)) for quad in _brindled_ints(n))
 
 
-def enumerate_twin(n: int):
-    """Yield the twin quadruples {z, z, ~z, ~z}; none exist for even n."""
-    m = n + 1
-    if m % 2:
-        return
-    full = (1 << m) - 1
-    for z in _even_vectors(m):
-        zc = z ^ full
-        if z < zc:
-            v, vc = _int_to_vec(z, m), _int_to_vec(zc, m)
-            yield Quadruple((v, v, vc, vc))
-
-
 def count_twin(n: int) -> int:
     """2^(n-1) for odd n, zero otherwise."""
     if n < 1:
@@ -360,6 +325,13 @@ def _brindled_bar_indices(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(_brindled_rows(n, 0))
 
 
+def _zero_sum_brindled(lam: BooleanFn) -> int:
+    """The number of brindled quadruples on whose four indices lam sums to 0."""
+    bits = lam.bits
+    quads = _brindled_bar_indices(lam.n)
+    return sum(1 for i1, i2, i3, i4 in quads if not bits[i1] ^ bits[i2] ^ bits[i3] ^ bits[i4])
+
+
 def count_transversals_formula(lam: BooleanFn) -> int:
     """Exact transversal count of gen_semilinear(lam).
 
@@ -370,13 +342,8 @@ def count_transversals_formula(lam: BooleanFn) -> int:
     n = lam.n
     if n < 2:
         raise ValueError(f"formula counting needs arity >= 2, got {n}")
-    bits = lam.bits
-    zero_sum = 0
-    for i1, i2, i3, i4 in _brindled_bar_indices(n):
-        if bits[i1] ^ bits[i2] ^ bits[i3] ^ bits[i4] == 0:
-            zero_sum += 1
     twin = 8 ** (n - 1) if n % 2 else 0
-    return twin + 2 * 4 ** (n - 1) * zero_sum
+    return twin + 2 * 4 ** (n - 1) * _zero_sum_brindled(lam)
 
 
 def zero_transversal_criterion(lam: BooleanFn) -> bool:
@@ -388,11 +355,7 @@ def zero_transversal_criterion(lam: BooleanFn) -> bool:
     """
     if lam.n % 2:
         raise ValueError("criterion applies to even arity only")
-    bits = lam.bits
-    return all(
-        bits[i1] ^ bits[i2] ^ bits[i3] ^ bits[i4] == 1
-        for i1, i2, i3, i4 in _brindled_bar_indices(lam.n)
-    )
+    return _zero_sum_brindled(lam) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +408,8 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
     """
     n = lam.n
     bits = lam.bits
-    zero_sum = 0
-    total = 0
-    for i1, i2, i3, i4 in _brindled_bar_indices(n):
-        total += 1
-        if bits[i1] ^ bits[i2] ^ bits[i3] ^ bits[i4] == 0:
-            zero_sum += 1
+    zero_sum = _zero_sum_brindled(lam)
+    total = len(_brindled_bar_indices(n))
     if zero_sum == total:
         delta = DeltaClass.CONSTANT0
     elif zero_sum == 0 and total > 0:
@@ -458,12 +417,9 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
     else:
         delta = DeltaClass.NOT_CONSTANT
 
-    odd = even = 0
-    for i1, i2, i3, i4 in _two_planes(n):
-        if (bits[i1] + bits[i2] + bits[i3] + bits[i4]) % 2:
-            odd += 1
-        else:
-            even += 1
+    planes = _two_planes(n)
+    odd = sum(1 for i1, i2, i3, i4 in planes if bits[i1] ^ bits[i2] ^ bits[i3] ^ bits[i4])
+    even = len(planes) - odd
     if odd and even:
         parity = PlaneParity.MIXED
     elif odd:

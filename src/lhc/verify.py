@@ -233,8 +233,7 @@ def _claim_odd_floor():
             ok = ok and c >= floor
     semi_floor = (16**2 + 2 * 8**2) // 3
     worst = None
-    for code in range(256):
-        lam = BooleanFn(3, tuple((code >> (7 - i)) & 1 for i in range(8)))
+    for lam in _all_lambdas(3):
         c = count_transversals(gen_semilinear(lam))
         worst = c if worst is None else min(worst, c)
         ok = ok and c >= semi_floor >= 64
@@ -365,8 +364,7 @@ def _claim_transform_invariance():
 def _claim_orientation_diagnostics():
     ok = True
     min_zero = None
-    for code in range(256):
-        lam = BooleanFn(3, tuple((code >> (7 - i)) & 1 for i in range(8)))
+    for lam in _all_lambdas(3):
         rep = delta_report(lam)
         ok = ok and rep.delta_class is not DeltaClass.CONSTANT1
         min_zero = (

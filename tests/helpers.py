@@ -8,12 +8,15 @@ from lhc import (
     BinaryOp,
     BooleanFn,
     GroupKind,
+    LatinHypercube,
     LineRef,
+    Quadruple,
     Transversal,
     ValidationReport,
     coords_of,
     gen_iterated_group,
 )
+from lhc.algebra import Leaf, check_permutation, inverse_permutation
 
 # The two binary order-4 squares behind the layered example cubes: L0 has no
 # transversals, Z4ADD is plain cyclic addition.
@@ -114,3 +117,142 @@ def reference_brindled_ints(n: int) -> list:
                 if z4 > z3 and (z1 | z2 | z3 | z4) == full and not (z1 & z2 & z3 & z4):
                     out.append((z1, z2, z3, z4))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles: the graph of a cube and the twin quadruples
+# ---------------------------------------------------------------------------
+
+
+def graph_cells(cube):
+    """Yield the q**n graph cells (x0, x1..xn) in table-index order."""
+    values = cube.values
+    for idx, inputs in enumerate(product(range(cube.q), repeat=cube.n)):
+        yield (values[idx],) + inputs
+
+
+def enumerate_twin(n: int):
+    """Yield the twin quadruples {z, z, ~z, ~z} of (n+1)-bit vectors, z
+    even; none exist for even n."""
+    m = n + 1
+    if m % 2:
+        return
+    full = (1 << m) - 1
+    for z in range(full + 1):
+        zc = z ^ full
+        if z.bit_count() % 2 == 0 and z < zc:
+            v = tuple((z >> (m - 1 - i)) & 1 for i in range(m))
+            vc = tuple(1 - b for b in v)
+            yield Quadruple((v, v, vc, vc))
+
+
+# ---------------------------------------------------------------------------
+# Cell-by-cell references for the table builders, written from their
+# definitions
+# ---------------------------------------------------------------------------
+
+
+def reference_iterated_group(kind, n: int, q: int):
+    out = bytearray(q**n)
+    for idx, x in enumerate(product(range(q), repeat=n)):
+        if kind is GroupKind.Z2X2:
+            acc = 0
+            for v in x:
+                acc ^= v
+            out[idx] = acc
+        else:
+            out[idx] = (-sum(x)) % q
+    return LatinHypercube(n, q, bytes(out))
+
+
+def reference_semilinear(lam):
+    """f(x) = x1 ^ .. ^ xn ^ lam(l(x1)..l(xn))."""
+    n = lam.n
+    out = bytearray(4**n)
+    for idx, x in enumerate(product(range(4), repeat=n)):
+        acc = 0
+        for v in x:
+            acc ^= v
+        out[idx] = acc ^ lam(tuple(v >> 1 for v in x))
+    return LatinHypercube(n, 4, bytes(out))
+
+
+def reference_detect_semilinear(cube):
+    """The orientation function, when every graph cell has even pair
+    parity and the XOR of the whole cell is constant on each block."""
+    n = cube.n
+    bits = [None] * (1 << n)
+    for x0, *x in graph_cells(cube):
+        acc, par, block = x0, x0 >> 1, 0
+        for v in x:
+            acc ^= v
+            par ^= v >> 1
+            block = (block << 1) | (v >> 1)
+        if par or bits[block] not in (None, acc):
+            return None
+        bits[block] = acc
+    return BooleanFn(n, tuple(bits))
+
+
+def reference_isotopy(cube, perms):
+    """R[s1^-1(x1)..sn^-1(xn)] = s0^-1(Q[x1..xn])."""
+    n, q = cube.n, cube.q
+    perms = [check_permutation(p, q) for p in perms]
+    out = bytearray(q**n)
+    for x0, *x in graph_cells(cube):
+        y = tuple(inverse_permutation(perms[i + 1])[v] for i, v in enumerate(x))
+        out[_index(y, q)] = inverse_permutation(perms[0])[x0]
+    return LatinHypercube(n, q, bytes(out))
+
+
+def reference_parastrophe(cube, pi):
+    """Role i of every new graph cell is role pi(i) of an old one."""
+    n, q = cube.n, cube.q
+    out = bytearray(q**n)
+    for cell in graph_cells(cube):
+        out[_index([cell[pi[i]] for i in range(1, n + 1)], q)] = cell[pi[0]]
+    return LatinHypercube(n, q, bytes(out))
+
+
+def reference_compose(spec):
+    """Evaluate the tree cell by cell (no post-transform)."""
+
+    def ev(node, x):
+        if isinstance(node, Leaf):
+            return x[node.var - 1]
+        return node.op.table[ev(node.left, x)][ev(node.right, x)]
+
+    ops = []
+    node = spec.root
+    while not isinstance(node, Leaf):
+        ops.append(node.op)
+        node = node.left
+    q = ops[0].q
+    return LatinHypercube(spec.n, q, bytes(ev(spec.root, x) for x in product(range(q), repeat=spec.n)))
+
+
+def reference_two_level(split):
+    """outer(inner(x_S), x_rest), cell by cell."""
+    n, q = split.n, split.inner.q
+    out = bytearray(q**n)
+    for idx, x in enumerate(product(range(q), repeat=n)):
+        y = split.inner[tuple(x[v - 1] for v in split.inner_vars)]
+        out[idx] = split.outer[(y,) + tuple(x[v - 1] for v in split.rest_vars)]
+    return LatinHypercube(n, q, bytes(out))
+
+
+def reference_fiber(cube, a: int):
+    """The level set f(x) = a, solved for x1."""
+    n, q = cube.n, cube.q
+    out = bytearray(q ** (n - 1))
+    for x0, x1, *rest in graph_cells(cube):
+        if x0 == a:
+            out[_index(rest, q)] = x1
+    return LatinHypercube(n - 1, q, bytes(out))
+
+
+def _index(coords, q: int) -> int:
+    idx = 0
+    for x in coords:
+        idx = idx * q + x
+    return idx

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from helpers import L0, Z4ADD, addition_square, cyclic_cube, lambda_from_string, xor_cube
+from helpers import L0, Z4ADD, addition_square, cyclic_cube, graph_cells, lambda_from_string, xor_cube
 from lhc import (
     BinaryOp,
     CompositionSpec,
@@ -29,14 +29,11 @@ from lhc import (
     find_factorization,
     gen_iterated_group,
     gen_semilinear,
-    graph_cells,
-    is_reducible,
     lambda_z4,
     lambda_z22,
     lift_transversals_fiber,
     lift_transversals_product,
     lower_bound_completely_reducible,
-    right_inverse,
     slice_first,
     validate_latin,
     verify_transversal,
@@ -109,6 +106,43 @@ def test_generators_reject_oversized_tables_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _big_inputs():
+    """Builders at 4^9 = 262,144 cells, their inputs made in advance."""
+    n = 9
+    lam = lambda_z4(n)
+    cube = gen_semilinear(lam)
+    spec = random_tree(n, 4, random.Random(9))
+    split = TwoLevelComposition(gen_semilinear(lambda_z4(5)), xor_cube(5), (1, 3, 5, 7, 9))
+    return {
+        "gen_iterated_group": lambda: gen_iterated_group(GroupKind.Z2X2, n, 4),
+        "gen_semilinear": lambda: gen_semilinear(lam),
+        "detect_semilinear": lambda: detect_semilinear(cube),
+        "apply_isotopy": lambda: apply_isotopy(cube, [(1, 3, 0, 2)] * (n + 1)),
+        "apply_parastrophe": lambda: apply_parastrophe(cube, (2, 0, 1) + tuple(range(3, n + 1))),
+        "compose": lambda: compose(spec),
+        "TwoLevelComposition.compose": split.compose,
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["gen_iterated_group", "gen_semilinear", "detect_semilinear", "apply_isotopy",
+     "apply_parastrophe", "compose", "TwoLevelComposition.compose"],
+)
+def test_builders_hold_no_per_cell_list(name):
+    # the table itself takes 0.25 MB; one Python int per cell would take
+    # over 2 MB
+    build = _big_inputs()[name]
+    tracemalloc.start()
+    try:
+        built = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built is not None
+    assert peak < 1 << 20
 
 
 def test_iterated_kind_order_consistency():
@@ -231,27 +265,6 @@ def test_isotopy_rejects_bad_permutation():
 
 
 # ---------------------------------------------------------------------------
-# Right inverse
-# ---------------------------------------------------------------------------
-
-
-def test_right_inverse_xor_is_itself():
-    assert right_inverse(xor_op()) == xor_op()
-
-
-def test_right_inverse_is_involution():
-    for op in (Z4ADD, L0, addition_square(5)):
-        assert right_inverse(right_inverse(op)) == op
-
-
-def test_right_inverse_cyclic_solves_subtraction():
-    ri = right_inverse(addition_square(3))
-    for x0 in range(3):
-        for x2 in range(3):
-            assert ri.table[x0][x2] == (x0 - x2) % 3
-
-
-# ---------------------------------------------------------------------------
 # Factorization and reducibility
 # ---------------------------------------------------------------------------
 
@@ -280,7 +293,7 @@ def test_factor_size_bounds():
     with pytest.raises(ValueError):
         factor_on_subset(cube, (1, 2, 3))
     with pytest.raises(ValueError):
-        is_reducible(xor_cube(2))
+        find_factorization(xor_cube(2))
 
 
 def test_irreducible_orientation_has_no_split_anywhere():
@@ -288,7 +301,7 @@ def test_irreducible_orientation_has_no_split_anywhere():
     cube = gen_semilinear(lambda_from_string("00000001"))
     for subset in ((1, 2), (1, 3), (2, 3)):
         assert factor_on_subset(cube, subset) is None
-    assert not is_reducible(cube)
+    assert find_factorization(cube) is None
     assert not parastrophe_sweep_reducible(cube)
 
 
@@ -304,7 +317,7 @@ def test_is_reducible_matches_parastrophe_sweep_oracle():
     cubes += [random_quasigroup(3, 4, rng) for _ in range(5)]
     cubes += [random_quasigroup(3, 3, rng) for _ in range(2)]
     for cube in cubes:
-        assert is_reducible(cube) == parastrophe_sweep_reducible(cube)
+        assert (find_factorization(cube) is not None) == parastrophe_sweep_reducible(cube)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +449,7 @@ def test_binary_op_structural_checks():
         BinaryOp(2, ((0, 1), (0, 1)))
     with pytest.raises(StructuralError):
         BinaryOp.from_flat(2, (0, 1, 1))
-    assert BinaryOp.from_flat(2, (0, 1, 1, 0)).apply(1, 0) == 1
+    assert BinaryOp.from_flat(2, (0, 1, 1, 0)).table[1][0] == 1
 
 
 def test_random_binary_op_transversal_control():

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from lhc import brindled_count_closed, parse_lhc, lambda_z4, gen_semilinear, serialize_lhc, semilinear
+from lhc import algebra, brindled_count_closed, parse_lhc, lambda_z4, gen_semilinear, serialize_lhc, semilinear
 from lhc.cli import main
 
 
@@ -201,6 +201,19 @@ def test_classify_above_the_brindled_bound_prints_nothing(tmp_path, capsys, monk
     assert rc == 2
     assert out == ""
     assert "brindled quadruples" in err
+
+
+def test_classify_above_the_factorization_bound_prints_nothing(tmp_path, capsys, monkeypatch):
+    # an arity-11 cube takes seconds to build, so the search envelope's cell
+    # bound is lowered to put arity 6 above it; no subset may be tried
+    path = tmp_path / "x6.lhc"
+    run(capsys, "gen", "iterated", "--group", "z22", "--n", "6", "--q", "4", "-o", str(path))
+    monkeypatch.setattr(algebra, "ENVELOPE_MAX_CELLS", 4**6 - 1)
+    monkeypatch.setattr(algebra, "factor_on_subset", None)
+    rc, out, err = run(capsys, "classify", str(path))
+    assert rc == 2
+    assert out == ""
+    assert "factorization supports q**n <= 4095" in err
 
 
 def test_verify_subset(tmp_path, capsys):

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
-from helpers import cyclic_cube, xor_cube
+from helpers import cyclic_cube, graph_cells, xor_cube
 from lhc import (
     LatinHypercube,
     LineRef,
@@ -15,12 +15,9 @@ from lhc import (
     StructuralError,
     UnsupportedOrderError,
     coords_of,
-    graph_cells,
     index_of,
     l_cell,
     l_of,
-    nu_cell,
-    nu_of,
     parse_lhc,
     serialize_lhc,
     validate_latin,
@@ -105,19 +102,16 @@ def test_graph_cells_pairwise_distance(cube):
 def test_l_and_nu():
     assert [l_of(s) for s in range(4)] == [0, 0, 1, 1]
     assert l_of(2) == 1
-    assert nu_of(3) == 2
-    assert [nu_of(s) for s in range(4)] == [1, 0, 3, 2]
     for s in range(4):
-        assert nu_of(nu_of(s)) == s
-        assert l_of(nu_of(s)) == l_of(s)
+        # nu(s) = s ^ 1 swaps within a pair
+        assert l_of(s ^ 1) == l_of(s)
     for bit in (0, 1):
         assert sum(1 for s in range(4) if l_of(s) == bit) == 2
     assert l_cell((0, 1, 2, 3)) == (0, 0, 1, 1)
-    assert nu_cell((0, 1, 2, 3)) == (1, 0, 3, 2)
     with pytest.raises(UnsupportedOrderError):
         l_of(4)
     with pytest.raises(UnsupportedOrderError):
-        nu_of(-1)
+        l_of(-1)
 
 
 def test_parse_identity_permutation():
@@ -181,6 +175,9 @@ MALFORMED = [
     ("LHC two 2\n0 1\n1 0\n", "header arity/order must be integers", 1, 5),
     ("LHC 2 9\n0 1\n1 0\n", "unsupported arity/order n=2 q=9", 1, 5),
     ("LHC 25 2\n0\n", "q**n = 33554432 exceeds the supported scale", 1, 5),
+    # the arity is bounded before q**n is computed, so no huge power is
+    # built or printed
+    ("LHC 20000 2\n0 1\n", "q**n = 2**20000 exceeds the supported scale", 1, 5),
     ("", "empty input, expected 'LHC <n> <q>' header", 1, 1),
     ("# nothing\n   # here\n", "empty input, expected 'LHC <n> <q>' header", 1, 1),
     ("# head\nLHC 2 2\n0 1\n# between\n1 5\n", "symbol 5 out of range for order 2", 5, 3),
