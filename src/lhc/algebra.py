@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, repeat
 from operator import add, getitem, mul
+from random import Random
 
 from .core import EnvelopeError, LatinHypercube, StructuralError, cell_sums, check_scale
 from .engine import ENVELOPE_MAX_CELLS, Transversal, verify_transversal
@@ -366,18 +367,64 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
     splitting on its complement, and the complement of an all-input block
     holds the output role, so sweeping input subsets covers every
     parastrophic split.  Cubes above the search envelope's cell bound are
-    refused before any subset is tried."""
-    n = cube.n
+    refused before any subset is tried.
+
+    S can be a block only if its q^|S| columns take at most q distinct
+    values, and parts of the columns cannot take more values than the
+    whole columns do.  So each subset is first probed: a small S has every
+    column read at a few rest points, a large S has a few columns read in
+    full, and more than q distinct readings rule S out.  The subsets that
+    survive go to factor_on_subset in sweep order, so the result is the
+    one the plain sweep gives.
+    """
+    n, q, values = cube.n, cube.q, cube.values
     if n < 3:
         raise ValueError(f"reducibility needs arity >= 3, got {n}")
     if cube.size > ENVELOPE_MAX_CELLS:
         raise EnvelopeError(f"factorization supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
+    rng = Random(0)
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
+            inner = [q ** (n - v) for v in subset]
+            rest = [q ** (n - v) for v in range(1, n + 1) if v not in subset]
+            if size <= n - size:
+                bases = cell_sums(_strided(inner, q))
+                offsets = list(_probe_offsets(rest, q, _PROBES, rng))
+            else:
+                bases = _probe_offsets(inner, q, _PROBES * q, rng)
+                offsets = list(cell_sums(_strided(rest, q)))
+            if _more_than_q_columns(values, q, bases, offsets):
+                continue
             fac = factor_on_subset(cube, subset)
             if fac is not None:
                 return fac
     return None
+
+
+# Rest points read per column of a small subset; a large subset has
+# q times as many columns read in full.
+_PROBES = 4
+
+
+def _probe_offsets(strides, q: int, count: int, rng: Random):
+    """Offsets of `count` distinct assignments to the axes of `strides`,
+    drawn at random, or of all of them when there are no more; computed
+    as they are consumed."""
+    total = q ** len(strides)
+    if total <= count:
+        return cell_sums(_strided(strides, q))
+    return (sum(k // q**j % q * s for j, s in enumerate(strides)) for k in rng.sample(range(total), count))
+
+
+def _more_than_q_columns(values: bytes, q: int, bases, offsets) -> bool:
+    """True as soon as the readings of values at base + offsets, one per
+    base, take more than q distinct values."""
+    seen: set[bytes] = set()
+    for base in bases:
+        seen.add(bytes(_gather(values, map(add, repeat(base), offsets))))
+        if len(seen) > q:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

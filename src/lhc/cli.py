@@ -18,7 +18,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import verify as verify_mod
 from .algebra import (
     GroupKind,
     TransformSpec,
@@ -40,14 +39,13 @@ from .core import (
 )
 from .engine import count_transversals_stats, enumerate_transversals
 from .semilinear import (
+    _formula_count,
     census_recurrence,
-    count_transversals_formula,
     count_twin,
     delta_report,
     detect_semilinear,
     gen_semilinear,
     parse_lambda,
-    zero_transversal_criterion,
 )
 
 USAGE_ERROR = 2
@@ -91,6 +89,12 @@ def _read_lambda(args):
         except OSError as e:
             raise _InputError(f"cannot read {args.lambda_file}: {e}") from None
     raise ValueError("one of --lambda or --lambda-file is required")
+
+
+def _criterion(n: int, zero_sum: int) -> str:
+    """The zero-transversal verdict of an even arity from the delta report's
+    count, which spares a second pass over the brindled quadruples."""
+    return "no-transversals" if _formula_count(n, zero_sum) == 0 else "has-transversals"
 
 
 def _parse_perm_arg(text: str) -> tuple[int, ...]:
@@ -171,8 +175,7 @@ def _cmd_classify(args) -> int:
         print(f"zero-sum brindled quadruples: {rep.zero_sum_brindled_count}")
         print(f"plane parity: {rep.plane_parity.value}")
         if lam.n % 2 == 0:
-            verdict = "no-transversals" if zero_transversal_criterion(lam) else "has-transversals"
-            print(f"zero-transversal criterion: {verdict}")
+            print(f"zero-transversal criterion: {_criterion(lam.n, rep.zero_sum_brindled_count)}")
     if cube.n < 3:
         print("reducible: not applicable (arity >= 3 only)")
     elif fac is None:
@@ -218,14 +221,15 @@ def _cmd_quadruples(args) -> int:
     print(f"delta class: {rep.delta_class.value}")
     print(f"plane parity: {rep.plane_parity.value}")
     if n >= 2:
-        print(f"formula transversal count: {count_transversals_formula(lam)}")
+        print(f"formula transversal count: {_formula_count(n, rep.zero_sum_brindled_count)}")
     if n >= 2 and n % 2 == 0:
-        verdict = "no-transversals" if zero_transversal_criterion(lam) else "has-transversals"
-        print(f"zero-transversal criterion: {verdict}")
+        print(f"zero-transversal criterion: {_criterion(n, rep.zero_sum_brindled_count)}")
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as verify_mod  # only this command needs the claim suite
+
     results = verify_mod.run_claims(args.claim or None, include_slow=not args.skip_slow)
     sys.stdout.write(verify_mod.format_report(results))
     verify_mod.write_sidecar(results, args.json)

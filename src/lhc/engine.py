@@ -34,6 +34,9 @@ from .semilinear import Quadruple, detect_semilinear
 
 ENVELOPE_MAX_ORDER = 6
 ENVELOPE_MAX_CELLS = 1 << 20
+# Mask tests one search may make: a level of a half table or of the tail
+# table costs len(table) * len(class) of them, known before it runs.
+MAX_MASK_TESTS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,13 @@ class Transversal:
 @dataclass
 class SearchStats:
     """What a count cost: nodes_visited is the number of partial states (union
-    masks) the two half tables hold, summed over their levels."""
+    masks) the two half tables hold, summed over their levels, and
+    mask_tests the number of (state, cell) pairs their levels tested."""
 
     nodes_visited: int = 0
     transversals_found: int = 0
     elapsed: float = 0.0
+    mask_tests: int = 0
 
 
 def verify_transversal(cube: LatinHypercube, t: Transversal) -> bool:
@@ -107,6 +112,17 @@ def _full_mask(cube: LatinHypercube) -> int:
     return (1 << (cube.q * cube.n)) - 1
 
 
+def _charge(stats: SearchStats, tests: int) -> None:
+    """Book the mask tests of the next level, refusing it when the running
+    total would pass MAX_MASK_TESTS."""
+    if stats.mask_tests + tests > MAX_MASK_TESTS:
+        raise EnvelopeError(
+            f"search supports at most {MAX_MASK_TESTS} mask tests, this cube needs at least "
+            f"{stats.mask_tests + tests}"
+        )
+    stats.mask_tests += tests
+
+
 # ---------------------------------------------------------------------------
 # Counting
 # ---------------------------------------------------------------------------
@@ -116,6 +132,7 @@ def _union_counts(classes, stats: SearchStats) -> dict[int, int]:
     """Union mask -> number of picks, one cell per class, pairwise disjoint."""
     table = {0: 1}
     for _, masks in classes:
+        _charge(stats, len(table) * len(masks))
         nxt: dict[int, int] = {}
         for u, c in table.items():
             for m in masks:
@@ -160,10 +177,11 @@ def enumerate_transversals(cube: LatinHypercube, limit: int | None = None) -> It
     return gen if limit is None else islice(gen, limit)
 
 
-def _tail_table(classes) -> dict[int, list[tuple[Cell, ...]]]:
+def _tail_table(classes, stats: SearchStats) -> dict[int, list[tuple[Cell, ...]]]:
     """Union mask -> disjoint picks from one or two classes, in index order."""
     table: dict[int, list[tuple[Cell, ...]]] = {0: [()]}
     for cells, masks in classes:
+        _charge(stats, len(table) * len(masks))
         nxt: dict[int, list[tuple[Cell, ...]]] = {}
         for u, picks in table.items():
             for cell, m in zip(cells, masks):
@@ -177,7 +195,7 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
     inputs = list(product(range(cube.q), repeat=cube.n))
     classes = [([(a,) + inputs[i] for i in ix], masks) for a, (ix, masks) in enumerate(_prepare(cube))]
     depth = max(cube.q - 2, 0)
-    tail = _tail_table(classes[depth:])
+    tail = _tail_table(classes[depth:], SearchStats())
     full = _full_mask(cube)
 
     def rec(level: int, used: int, chosen: tuple[Cell, ...]):

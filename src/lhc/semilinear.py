@@ -342,8 +342,14 @@ def count_transversals_formula(lam: BooleanFn) -> int:
     n = lam.n
     if n < 2:
         raise ValueError(f"formula counting needs arity >= 2, got {n}")
+    return _formula_count(n, _zero_sum_brindled(lam))
+
+
+def _formula_count(n: int, zero_sum: int) -> int:
+    """count_transversals_formula from the number of zero-sum brindled
+    quadruples, for callers that hold it already (DeltaReport does)."""
     twin = 8 ** (n - 1) if n % 2 else 0
-    return twin + 2 * 4 ** (n - 1) * _zero_sum_brindled(lam)
+    return twin + 2 * 4 ** (n - 1) * zero_sum
 
 
 def zero_transversal_criterion(lam: BooleanFn) -> bool:
@@ -355,7 +361,7 @@ def zero_transversal_criterion(lam: BooleanFn) -> bool:
     """
     if lam.n % 2:
         raise ValueError("criterion applies to even arity only")
-    return _zero_sum_brindled(lam) == 0
+    return _formula_count(lam.n, _zero_sum_brindled(lam)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from lhc import (
     BinaryOp,
@@ -16,7 +16,7 @@ from lhc import (
     coords_of,
     gen_iterated_group,
 )
-from lhc.algebra import Leaf, check_permutation, inverse_permutation
+from lhc.algebra import Leaf, check_permutation, factor_on_subset, inverse_permutation
 
 # The two binary order-4 squares behind the layered example cubes: L0 has no
 # transversals, Z4ADD is plain cyclic addition.
@@ -256,3 +256,20 @@ def _index(coords, q: int) -> int:
     for x in coords:
         idx = idx * q + x
     return idx
+
+
+# ---------------------------------------------------------------------------
+# The plain factorization sweep, the reference for find_factorization
+# ---------------------------------------------------------------------------
+
+
+def reference_find_factorization(cube):
+    """factor_on_subset on every input subset, smallest first, each reading
+    the whole cube; the first factorization found."""
+    n = cube.n
+    for size in range(2, n):
+        for subset in combinations(range(1, n + 1), size):
+            fac = factor_on_subset(cube, subset)
+            if fac is not None:
+                return fac
+    return None

@@ -17,6 +17,7 @@ from lhc import (
     Node,
     StructuralError,
     TwoLevelComposition,
+    algebra,
     apply_isotopy,
     apply_parastrophe,
     apply_transform,
@@ -41,6 +42,7 @@ from lhc import (
 from lhc.fixtures import EXAMPLE_CUBE_1, EXAMPLE_CUBE_2, load_fixture
 from lhc.randgen import (
     random_binary_op,
+    random_lambda,
     random_quasigroup,
     random_transform,
     random_tree,
@@ -318,6 +320,21 @@ def test_is_reducible_matches_parastrophe_sweep_oracle():
     cubes += [random_quasigroup(3, 3, rng) for _ in range(2)]
     for cube in cubes:
         assert (find_factorization(cube) is not None) == parastrophe_sweep_reducible(cube)
+
+
+def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch):
+    # an irreducible arity-8 cube: the plain sweep reads the whole cube for
+    # each of its 246 subsets, the cheap probes leave few of them to check
+    cube = gen_semilinear(random_lambda(8, random.Random(1)))
+    calls = []
+
+    def counted(c, subset):
+        calls.append(subset)
+        return factor_on_subset(c, subset)
+
+    monkeypatch.setattr(algebra, "factor_on_subset", counted)
+    assert find_factorization(cube) is None
+    assert len(calls) < 25
 
 
 # ---------------------------------------------------------------------------

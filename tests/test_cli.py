@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from lhc import algebra, brindled_count_closed, parse_lhc, lambda_z4, gen_semilinear, serialize_lhc, semilinear
+from lhc import algebra, brindled_count_closed, engine, parse_lhc, lambda_z4, gen_semilinear, serialize_lhc, semilinear
 from lhc.cli import main
 
 
@@ -214,6 +214,60 @@ def test_classify_above_the_factorization_bound_prints_nothing(tmp_path, capsys,
     assert rc == 2
     assert out == ""
     assert "factorization supports q**n <= 4095" in err
+
+
+def test_transversals_above_the_work_budget_fail_fast(tmp_path, capsys, monkeypatch):
+    # xor n=8 passes the cell bound but needs 2^28 mask tests on one level;
+    # timing it is left out, the budget is lowered to put xor n=3 above it
+    path = tmp_path / "x3.lhc"
+    run(capsys, "gen", "iterated", "--group", "z22", "--n", "3", "--q", "4", "-o", str(path))
+    monkeypatch.setattr(engine, "MAX_MASK_TESTS", 100)
+    for argv in (["transversals", str(path)], ["transversals", str(path), "--mode", "list", "--limit", "5"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert "search supports at most 100 mask tests" in err
+
+
+# The parent's exact text for an even arity, criterion line included: one
+# orientation without transversals (Z4) and one random one with.
+Z4_4 = "0111111011101000"
+RANDOM_6 = "1010001000011000100001000011001000100001111111000011111001010110"
+GOLDEN = {
+    ("classify", Z4_4): (
+        "arity: 4, order: 4\nlatin: ok\nstandardly semilinear: yes\nlambda: 0111111011101000\n"
+        "delta class: constant-1\nzero-sum brindled quadruples: 0\nplane parity: all-odd\n"
+        "zero-transversal criterion: no-transversals\nreducible: yes (inner variables 1,2)\n"
+    ),
+    ("quadruples", Z4_4): (
+        "arity: 4\ntwin quadruples: 0\nbrindled quadruples: 40\n"
+        "census: a00=960 a01=5856 a11=960 b00=0 b01=96 b11=0\nzero-sum brindled quadruples: 0\n"
+        "delta class: constant-1\nplane parity: all-odd\nformula transversal count: 0\n"
+        "zero-transversal criterion: no-transversals\n"
+    ),
+    ("classify", RANDOM_6): (
+        f"arity: 6, order: 4\nlatin: ok\nstandardly semilinear: yes\nlambda: {RANDOM_6}\n"
+        "delta class: not-constant\nzero-sum brindled quadruples: 721\nplane parity: mixed\n"
+        "zero-transversal criterion: has-transversals\nreducible: no\n"
+    ),
+    ("quadruples", RANDOM_6): (
+        "arity: 6\ntwin quadruples: 0\nbrindled quadruples: 1456\n"
+        "census: a00=34944 a01=210048 a11=34944 b00=0 b01=384 b11=0\nzero-sum brindled quadruples: 721\n"
+        "delta class: not-constant\nplane parity: mixed\nformula transversal count: 1476608\n"
+        "zero-transversal criterion: has-transversals\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command,bits", list(GOLDEN), ids=[f"{c}-{len(b).bit_length() - 1}" for c, b in GOLDEN])
+def test_even_arity_reports_are_unchanged(tmp_path, capsys, command, bits):
+    if command == "classify":
+        path = tmp_path / "s.lhc"
+        run(capsys, "gen", "semilinear", "--lambda", bits, "-o", str(path))
+        argv = ["classify", str(path)]
+    else:
+        argv = ["quadruples", "--lambda", bits]
+    assert run(capsys, *argv) == (0, GOLDEN[command, bits], "")
 
 
 def test_verify_subset(tmp_path, capsys):

@@ -18,6 +18,7 @@ from lhc import (
     count_transversals,
     count_transversals_stats,
     count_twin,
+    engine,
     enumerate_transversals,
     gen_semilinear,
     lambda_z4,
@@ -149,6 +150,26 @@ def test_envelope_order_limit():
     cube = LatinHypercube(1, 7, bytes(range(7)))
     with pytest.raises(EnvelopeError):
         count_transversals(cube)
+
+
+def test_mask_tests_are_counted_per_level():
+    # xor n=3: classes of 16 cells, and each half table has 16 states after
+    # its first level, so each half tests 16 + 16 * 16 masks
+    _, stats = count_transversals_stats(xor_cube(3))
+    assert stats.mask_tests == 2 * (16 + 16 * 16)
+
+
+def test_work_budget_refuses_the_level_that_would_pass_it(monkeypatch):
+    cube = xor_cube(3)
+    monkeypatch.setattr(engine, "MAX_MASK_TESTS", 2 * (16 + 16 * 16))
+    assert count_transversals(cube) == 256
+    monkeypatch.setattr(engine, "MAX_MASK_TESTS", 2 * (16 + 16 * 16) - 1)
+    with pytest.raises(EnvelopeError, match="mask tests"):
+        count_transversals(cube)
+    # enumeration builds its tail table over the last two classes first
+    monkeypatch.setattr(engine, "MAX_MASK_TESTS", 16 + 16 * 16 - 1)
+    with pytest.raises(EnvelopeError, match="mask tests"):
+        next(enumerate_transversals(cube, limit=5))
 
 
 def test_envelope_size_limit():

@@ -1,6 +1,7 @@
 """Property tests: the exact engine against a brute-force oracle and the
 formula counter, on cubes drawn from randgen; the whole-buffer file routines
-and the streamed table builders against their cell-by-cell references."""
+and the streamed table builders against their cell-by-cell references; the
+factorization search against the plain subset sweep."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from helpers import (
     reference_compose,
     reference_detect_semilinear,
     reference_fiber,
+    reference_find_factorization,
     reference_isotopy,
     reference_iterated_group,
     reference_parastrophe,
@@ -35,6 +37,7 @@ from lhc import (
     detect_semilinear,
     enumerate_transversals,
     fiber_quasigroup,
+    find_factorization,
     gen_iterated_group,
     gen_semilinear,
     parse_lhc,
@@ -239,3 +242,27 @@ def test_detect_semilinear_matches_reference(n, how, seed):
             perms += [rng.choice([(0, 1, 2, 3), (0, 3, 2, 1)]) for _ in range(n)]
             cube = apply_isotopy(cube, perms)
     assert detect_semilinear(cube) == reference_detect_semilinear(cube)
+
+
+# ---------------------------------------------------------------------------
+# Factorization by cheap rejection against the plain sweep
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(n=st.integers(3, 6), q=st.integers(2, 5),
+       how=st.sampled_from(["tree", "random", "transformed tree", "semilinear", "two-level"]), seed=seeds)
+def test_find_factorization_matches_plain_sweep(n, q, how, seed):
+    rng = random.Random(seed)
+    if how == "semilinear":
+        cube = gen_semilinear(random_lambda(n, rng))
+    elif how == "random":
+        cube = random_quasigroup(n, q, rng)
+    elif how == "two-level":
+        cube = random_two_level(n, q, rng).compose()
+    else:
+        cube = compose(random_tree(n, q, rng))
+        if how == "transformed tree":
+            cube = apply_transform(cube, random_transform(n, q, rng))
+    # the same witness: subset, inner table and outer table
+    assert find_factorization(cube) == reference_find_factorization(cube)
