@@ -16,7 +16,8 @@ disjoint.  w then lies inside full ^ u and has as many bits, so w equals
 full ^ u, and the count is the sum of A[u] * B[full ^ u].
 
 Enumeration is a depth-first search over the classes 0..q-3 in table-index
-order, testing masks directly.  The last two classes come from a table that
+order, testing masks directly; each node books its class size against the
+same work budget as the tables.  The last two classes come from a table that
 maps each union mask to its disjoint cell pairs in index order, looked up
 at full ^ (mask used so far).  The stream is lexicographic in the
 flattened, x0-sorted cell list and bitwise reproducible between runs.
@@ -195,7 +196,8 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
     inputs = list(product(range(cube.q), repeat=cube.n))
     classes = [([(a,) + inputs[i] for i in ix], masks) for a, (ix, masks) in enumerate(_prepare(cube))]
     depth = max(cube.q - 2, 0)
-    tail = _tail_table(classes[depth:], SearchStats())
+    stats = SearchStats()
+    tail = _tail_table(classes[depth:], stats)
     full = _full_mask(cube)
 
     def rec(level: int, used: int, chosen: tuple[Cell, ...]):
@@ -204,6 +206,7 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
                 yield Transversal(chosen + pick)
             return
         cells, masks = classes[level]
+        _charge(stats, len(masks))
         for cell, m in zip(cells, masks):
             if not used & m:
                 yield from rec(level + 1, used | m, chosen + (cell,))

@@ -196,9 +196,21 @@ def _even_vectors(m: int) -> tuple[int, ...]:
     return tuple(v for v in range(1 << m) if v.bit_count() % 2 == 0)
 
 
-# Every brindled table holds brindled_count_closed(n) quadruples, about
-# 6^n/32: 1.9M at arity 10, 11.3M at arity 11.
+# The arity envelope of everything brindled: a table (enumerate_brindled,
+# the flat zero-sum pass) holds brindled_count_closed(n) quadruples, about
+# 6^n/32, 1.9M at arity 10 and 11.3M at arity 11; the zero-sum count refuses
+# the same arities, whichever route it takes.
 MAX_BRINDLED = 1 << 21
+
+
+def _check_brindled(n: int) -> int:
+    """brindled_count_closed(n), or EnvelopeError above MAX_BRINDLED."""
+    count = brindled_count_closed(n)
+    if count > MAX_BRINDLED:
+        raise EnvelopeError(
+            f"arity {n} has {count} brindled quadruples, above the supported {MAX_BRINDLED}"
+        )
+    return count
 
 
 def _brindled_rows(n: int, top: int) -> list[tuple[int, int, int, int]]:
@@ -212,11 +224,7 @@ def _brindled_rows(n: int, top: int) -> list[tuple[int, int, int, int]]:
     highest bit (that keeps z3 < z4) and of the parity that makes z3 even.
     Taking w in increasing order lists z3 in increasing order.
     """
-    count = brindled_count_closed(n)
-    if count > MAX_BRINDLED:
-        raise EnvelopeError(
-            f"arity {n} has {count} brindled quadruples, above the supported {MAX_BRINDLED}"
-        )
+    _check_brindled(n)
     low = (1 << n) - 1
     ints = list(range(1 << (n + 1)))  # shared int objects for the tuples
     halves = _even_vectors(n)
@@ -326,10 +334,80 @@ def _brindled_bar_indices(n: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def _zero_sum_brindled(lam: BooleanFn) -> int:
-    """The number of brindled quadruples on whose four indices lam sums to 0."""
+    """The number of brindled quadruples on whose four indices lam sums to 0.
+
+    A flat pass over the cached table where the table is no longer than the
+    3^n faces the table-free count reads (arity <= 5, every claim call),
+    the table-free count above that.
+    """
+    n = lam.n
+    if _check_brindled(n) > 3**n:
+        return _zero_sum_brindled_faces(lam)
     bits = lam.bits
-    quads = _brindled_bar_indices(lam.n)
+    quads = _brindled_bar_indices(n)
     return sum(1 for i1, i2, i3, i4 in quads if not bits[i1] ^ bits[i2] ^ bits[i3] ^ bits[i4])
+
+
+def _zero_sum_brindled_faces(lam: BooleanFn) -> int:
+    """_zero_sum_brindled without the table, in O(2^n) ints of 2^n bits.
+
+    Dropping position 0 maps the even (n+1)-vectors one to one onto the
+    n-bit bar vectors y, so a brindled quadruple is four distinct y whose
+    columns each hold two ones and of which exactly two are odd.  Its 24
+    orders are the tuples with e = y1^y2 = y3^y4 != 0 and y3 the complement
+    of y1 off e, once the twins {y, ~y, y, ~y} (e full, odd n only, 2^(n+1)
+    tuples) are set aside.  With g = (-1)^lam, the sum of g(y1)g(y2)g(y3)g(y4)
+    over the brindled quadruples is 2Z - brindled_count_closed(n).  Write
+    y1 = c|a and y3 = (~e^c)|b with c inside ~e and a, b inside e; the sum
+    over a of parity p of g(y1)g(y1^e) is the face value
+    F(c) = |M_p| - 2*popcount((diff >> c) & M_p), diff the bits of
+    lam(y) ^ lam(y^e) and M_p the submasks of e of parity p.  Every (p, p') pairs up when |e|
+    is odd; when |e| is even the parity rule keeps p + p' = n + 1 (mod 2).
+    That reads 3^n faces.
+    """
+    n = lam.n
+    size = 1 << n
+    full = size - 1
+    ones = (1 << size) - 1
+    lam_int = int(lam.to_string()[::-1], 2)  # bit y is lam at y
+    # blocks[j]: the y with bit j clear, for swapping y and y ^ (1 << j)
+    blocks = [ones // ((1 << 2 * b) - 1) * ((1 << b) - 1) for b in (1 << j for j in range(n))]
+    masks = [(1, 0)]  # per e, the submasks of e of even and of odd weight, as sets of y
+    for e in range(1, size):
+        low = e & -e
+        even, odd = masks[e ^ low]
+        masks.append((even | odd << low, odd | even << low))
+    total = 0
+    swapped = lam_int  # lam(y ^ e), e running through the Gray code
+    for k in range(1, size):
+        e = k ^ (k >> 1)
+        j = (k & -k).bit_length() - 1  # the bit that e flips
+        b, block = 1 << j, blocks[j]
+        swapped = (swapped & block) << b | (swapped >> b) & block
+        diff = lam_int ^ swapped
+        even, odd = masks[e]
+        subs = [0]  # submasks of ~e in increasing order: subs[-1-i] = ~e ^ subs[i]
+        rest = full ^ e
+        while rest:
+            low = rest & -rest
+            subs += [c | low for c in subs]
+            rest ^= low
+        weight = e.bit_count()
+        half = 1 << (weight - 1)  # |M_0| = |M_1|
+        if weight & 1:
+            both = even | odd
+            f = [2 * half - 2 * (diff >> c & both).bit_count() for c in subs]
+            total += sum(map(int.__mul__, f, reversed(f)))
+            continue
+        f0 = [half - 2 * (diff >> c & even).bit_count() for c in subs]
+        f1 = [half - 2 * (diff >> c & odd).bit_count() for c in subs]
+        if n & 1:
+            total += sum(map(int.__mul__, f0, reversed(f0))) + sum(map(int.__mul__, f1, reversed(f1)))
+        else:
+            total += 2 * sum(map(int.__mul__, f0, reversed(f1)))
+    if n & 1:
+        total -= 2 << n
+    return (brindled_count_closed(n) + total // 24) // 2
 
 
 def count_transversals_formula(lam: BooleanFn) -> int:
@@ -415,7 +493,7 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
     n = lam.n
     bits = lam.bits
     zero_sum = _zero_sum_brindled(lam)
-    total = len(_brindled_bar_indices(n))
+    total = brindled_count_closed(n)
     if zero_sum == total:
         delta = DeltaClass.CONSTANT0
     elif zero_sum == 0 and total > 0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -229,6 +230,21 @@ def test_transversals_above_the_work_budget_fail_fast(tmp_path, capsys, monkeypa
         assert "search supports at most 100 mask tests" in err
 
 
+def test_transversals_list_stops_at_the_work_budget(tmp_path, capsys, monkeypatch):
+    # the depth-first part of the enumerator is charged too: with the budget
+    # one test short of the whole stream, the lines of the first 15 picks
+    # from class 0 are printed before the exit 2
+    path = tmp_path / "x3.lhc"
+    run(capsys, "gen", "iterated", "--group", "z22", "--n", "3", "--q", "4", "-o", str(path))
+    rc, whole, _ = run(capsys, "transversals", str(path), "--mode", "list")
+    assert rc == 0
+    monkeypatch.setattr(engine, "MAX_MASK_TESTS", 2 * (16 + 16 * 16) - 1)
+    rc, out, err = run(capsys, "transversals", str(path), "--mode", "list")
+    assert rc == 2
+    assert out.splitlines() == whole.splitlines()[: 15 * 16]
+    assert "search supports at most 543 mask tests" in err
+
+
 # The parent's exact text for an even arity, criterion line included: one
 # orientation without transversals (Z4) and one random one with.
 Z4_4 = "0111111011101000"
@@ -259,15 +275,79 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command,bits", list(GOLDEN), ids=[f"{c}-{len(b).bit_length() - 1}" for c, b in GOLDEN])
-def test_even_arity_reports_are_unchanged(tmp_path, capsys, command, bits):
+def _report(tmp_path, capsys, command, bits):
+    """`lhc quadruples` of lam, or `lhc classify` of its cube."""
     if command == "classify":
         path = tmp_path / "s.lhc"
         run(capsys, "gen", "semilinear", "--lambda", bits, "-o", str(path))
-        argv = ["classify", str(path)]
-    else:
-        argv = ["quadruples", "--lambda", bits]
-    assert run(capsys, *argv) == (0, GOLDEN[command, bits], "")
+        return run(capsys, "classify", str(path))
+    return run(capsys, "quadruples", "--lambda", bits)
+
+
+@pytest.mark.parametrize("command,bits", list(GOLDEN), ids=[f"{c}-{len(b).bit_length() - 1}" for c, b in GOLDEN])
+def test_even_arity_reports_are_unchanged(tmp_path, capsys, command, bits):
+    assert _report(tmp_path, capsys, command, bits) == (0, GOLDEN[command, bits], "")
+
+
+def _random_bits(n: int) -> str:
+    """A fixed orientation function per arity, from Random(n)."""
+    return format(random.Random(n).getrandbits(1 << n), f"0{1 << n}b")
+
+
+# Exact text at arities the table-free zero-sum count serves, recorded from
+# the flat pass over the listed quadruples; odd arities (twin quadruples, no
+# criterion line) included.
+GOLDEN_LARGE = {
+    ("quadruples", 7): (
+        "arity: 7\ntwin quadruples: 64\nbrindled quadruples: 8736\n"
+        "census: a00=210048 a01=1259520 a11=210048 b00=384 b01=0 b11=384\n"
+        "zero-sum brindled quadruples: 4441\ndelta class: not-constant\nplane parity: mixed\n"
+        "formula transversal count: 36642816\n"
+    ),
+    ("quadruples", 9): (
+        "arity: 9\ntwin quadruples: 256\nbrindled quadruples: 314880\n"
+        "census: a00=7558656 a01=45348864 a11=7558656 b00=1536 b01=0 b11=1536\n"
+        "zero-sum brindled quadruples: 157510\ndelta class: not-constant\nplane parity: mixed\n"
+        "formula transversal count: 20661927936\n"
+    ),
+    ("quadruples", 10): (
+        "arity: 10\ntwin quadruples: 0\nbrindled quadruples: 1889536\n"
+        "census: a00=45348864 a01=272099328 a11=45348864 b00=0 b01=6144 b11=0\n"
+        "zero-sum brindled quadruples: 945338\ndelta class: not-constant\nplane parity: mixed\n"
+        "formula transversal count: 495629369344\nzero-transversal criterion: has-transversals\n"
+    ),
+    ("classify", 7): (
+        f"arity: 7, order: 4\nlatin: ok\nstandardly semilinear: yes\nlambda: {_random_bits(7)}\n"
+        "delta class: not-constant\nzero-sum brindled quadruples: 4441\nplane parity: mixed\nreducible: no\n"
+    ),
+    ("classify", 9): (
+        f"arity: 9, order: 4\nlatin: ok\nstandardly semilinear: yes\nlambda: {_random_bits(9)}\n"
+        "delta class: not-constant\nzero-sum brindled quadruples: 157510\nplane parity: mixed\nreducible: no\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command,n", list(GOLDEN_LARGE), ids=[f"{c}-{n}" for c, n in GOLDEN_LARGE])
+def test_large_arity_reports_are_unchanged(tmp_path, capsys, command, n):
+    assert _report(tmp_path, capsys, command, _random_bits(n)) == (0, GOLDEN_LARGE[command, n], "")
+
+
+def test_quadruples_at_arity_ten_lists_no_quadruples(capsys):
+    # listing the 1.9M brindled quadruples of arity 10 took about 190 MB;
+    # the count from lam's faces holds a few MB
+    bits = format(random.Random(2024).getrandbits(1 << 10), "01024b")
+    for cached in vars(semilinear).values():  # measure a cold call
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    tracemalloc.start()
+    try:
+        rc, out, _ = run(capsys, "quadruples", "--lambda", bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert "brindled quadruples: 1889536" in out
+    assert peak < 8 << 20
 
 
 def test_verify_subset(tmp_path, capsys):

@@ -172,6 +172,22 @@ def test_work_budget_refuses_the_level_that_would_pass_it(monkeypatch):
         next(enumerate_transversals(cube, limit=5))
 
 
+def test_work_budget_covers_the_depth_first_part(monkeypatch):
+    # xor n=3: the tail table tests 16 + 16 * 16 masks, the depth-first part
+    # 16 at its root and 16 at each of the 16 picks from class 0, and each of
+    # those picks leads to 16 transversals
+    cube = xor_cube(3)
+    stream = list(enumerate_transversals(cube))
+    monkeypatch.setattr(engine, "MAX_MASK_TESTS", 2 * (16 + 16 * 16))
+    assert list(enumerate_transversals(cube)) == stream
+    monkeypatch.setattr(engine, "MAX_MASK_TESTS", 2 * (16 + 16 * 16) - 1)
+    got = []
+    with pytest.raises(EnvelopeError, match="mask tests"):
+        for t in enumerate_transversals(cube):
+            got.append(t)
+    assert got == stream[: 15 * 16]
+
+
 def test_envelope_size_limit():
     # structurally fine, too many cells for the search (never silently truncated)
     cube = LatinHypercube(21, 2, bytes(2**21))

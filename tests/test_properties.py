@@ -1,17 +1,21 @@
 """Property tests: the exact engine against a brute-force oracle and the
 formula counter, on cubes drawn from randgen; the whole-buffer file routines
 and the streamed table builders against their cell-by-cell references; the
-factorization search against the plain subset sweep."""
+factorization search against the plain subset sweep; the table-free
+zero-sum brindled count against the listed quadruples."""
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     brute_force_transversals,
+    reference_brindled_ints,
     reference_compose,
     reference_detect_semilinear,
     reference_fiber,
@@ -25,6 +29,7 @@ from helpers import (
     reference_validate_latin,
 )
 from lhc import (
+    BooleanFn,
     GroupKind,
     LatinHypercube,
     ParseError,
@@ -40,6 +45,7 @@ from lhc import (
     find_factorization,
     gen_iterated_group,
     gen_semilinear,
+    lambda_z4,
     parse_lhc,
     serialize_lhc,
     validate_latin,
@@ -55,6 +61,7 @@ from lhc.randgen import (
     random_tree,
     random_two_level,
 )
+from lhc.semilinear import _zero_sum_brindled_faces
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -266,3 +273,33 @@ def test_find_factorization_matches_plain_sweep(n, q, how, seed):
             cube = apply_transform(cube, random_transform(n, q, rng))
     # the same witness: subset, inner table and outer table
     assert find_factorization(cube) == reference_find_factorization(cube)
+
+
+# ---------------------------------------------------------------------------
+# The table-free zero-sum brindled count against the listed quadruples
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _reference_bar_quadruples(n):
+    low = (1 << n) - 1
+    return [tuple(z & low for z in quad) for quad in reference_brindled_ints(n)]
+
+
+def _zero_sum_by_list(lam):
+    bits = lam.bits
+    return sum(1 for i1, i2, i3, i4 in _reference_bar_quadruples(lam.n)
+               if not bits[i1] ^ bits[i2] ^ bits[i3] ^ bits[i4])
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), seed=seeds)
+def test_table_free_zero_sum_count_matches_the_listed_quadruples(n, seed):
+    lam = random_lambda(n, random.Random(seed))
+    assert _zero_sum_brindled_faces(lam) == _zero_sum_by_list(lam)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_table_free_zero_sum_count_on_fixed_orientations(n):
+    for lam in (BooleanFn(n, (0,) * (1 << n)), BooleanFn(n, (1,) * (1 << n)), lambda_z4(n)):
+        assert _zero_sum_brindled_faces(lam) == _zero_sum_by_list(lam)
