@@ -56,6 +56,13 @@ class _InputError(Exception):
     """File-level problem: unreadable, unparsable, or not latin."""
 
 
+class _OutputError(Exception):
+    """An output file that cannot be written."""
+
+    def __init__(self, path: str, error: OSError):
+        super().__init__(f"cannot write {path}: {error.strerror or error}")
+
+
 def _read_cube(path: str) -> LatinHypercube:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -77,7 +84,10 @@ def _write_cube(cube: LatinHypercube, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise _OutputError(out, e) from None
 
 
 def _read_lambda(args):
@@ -232,7 +242,10 @@ def _cmd_verify(args) -> int:
 
     results = verify_mod.run_claims(args.claim or None, include_slow=not args.skip_slow)
     sys.stdout.write(verify_mod.format_report(results))
-    verify_mod.write_sidecar(results, args.json)
+    try:
+        verify_mod.write_sidecar(results, args.json)
+    except OSError as e:
+        raise _OutputError(args.json, e) from None
     failed = [r for r in results if not r.skipped and not r.passed]
     return 1 if failed else 0
 
@@ -310,7 +323,7 @@ def main(argv=None) -> int:
     except (ParseError, StructuralError, _InputError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR
-    except (EnvelopeError, UnsupportedOrderError, ValueError) as e:
+    except (EnvelopeError, UnsupportedOrderError, ValueError, _OutputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

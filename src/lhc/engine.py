@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator
 
-from .core import Cell, EnvelopeError, LatinHypercube, UnsupportedOrderError, cell_sums, l_cell
-from .semilinear import Quadruple, detect_semilinear
+from .core import Cell, EnvelopeError, LatinHypercube, UnsupportedOrderError, cell_sums
+from .semilinear import Quadruple, _int_to_vec, detect_semilinear
 
 ENVELOPE_MAX_ORDER = 6
 ENVELOPE_MAX_CELLS = 1 << 20
@@ -226,8 +226,21 @@ def transversals_by_quadruple(cube: LatinHypercube) -> dict[Quadruple, int]:
         raise UnsupportedOrderError(f"quadruple bucketing needs order 4, got q={cube.q}")
     if detect_semilinear(cube) is None:
         raise ValueError("cube is not standardly semilinear")
-    buckets: dict[Quadruple, int] = {}
+    # A cell's pair-indicator image packed into an int, position 0 the top
+    # bit, so sorted ints are the sorted vectors of Quadruple.of
+    packed: dict[Cell, int] = {}
+    counts: dict[tuple[int, ...], int] = {}
     for t in enumerate_transversals(cube):
-        key = Quadruple.of(tuple(l_cell(c) for c in t.cells))
-        buckets[key] = buckets.get(key, 0) + 1
-    return buckets
+        ints = []
+        for cell in t.cells:
+            v = packed.get(cell)
+            if v is None:
+                v = 0
+                for x in cell:
+                    v = v << 1 | x >> 1
+                packed[cell] = v
+            ints.append(v)
+        key = tuple(sorted(ints))
+        counts[key] = counts.get(key, 0) + 1
+    m = cube.n + 1
+    return {Quadruple(tuple(_int_to_vec(v, m) for v in key)): c for key, c in counts.items()}

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterator
 
 from .core import EnvelopeError, LatinHypercube, ParseError, UnsupportedOrderError, cell_sums, check_scale
 
@@ -213,55 +214,45 @@ def _check_brindled(n: int) -> int:
     return count
 
 
-def _brindled_rows(n: int, top: int) -> list[tuple[int, int, int, int]]:
-    """All brindled quadruples of (n+1)-bit vectors as sorted int 4-tuples,
-    in lexicographic order, with the top bit of z3 and z4 set to `top`.
+def _brindled_rows(n: int, top: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield all brindled quadruples of (n+1)-bit vectors as sorted int
+    4-tuples, in lexicographic order, with the top bit of z3 and z4 set to
+    `top`; the caller checks the arity against MAX_BRINDLED.
 
     Position 0 (the top bit) holds two zeros and two ones, so z1 < z2 are
     the even vectors with top bit 0 and z3, z4 have it set.  Where z1 and
     z2 agree, z3 and z4 take the complement; on d = z1 ^ z2 they split, so
     z3 = ~(z1 | z2) | w and z4 = z3 ^ d for a submask w of d without d's
     highest bit (that keeps z3 < z4) and of the parity that makes z3 even.
-    Taking w in increasing order lists z3 in increasing order.
+    Taking w in increasing order lists z3 in increasing order.  Each pair
+    z1 < z2 is expanded as it is reached, so no table is built.
     """
-    _check_brindled(n)
     low = (1 << n) - 1
     ints = list(range(1 << (n + 1)))  # shared int objects for the tuples
     halves = _even_vectors(n)
-    splits = {}
-    for d in halves[1:]:
-        rest = d ^ (1 << (d.bit_length() - 1))
-        by_parity: tuple[list, list] = ([], [])
-        w = 0
-        while True:
-            by_parity[w.bit_count() & 1].append((w, w ^ d))
-            if w == rest:
-                break
-            w = (w - rest) & rest  # next submask of rest, in increasing order
-        splits[d] = by_parity
-    out = []
     for i, z1 in enumerate(halves):
         for z2 in halves[i + 1 :]:
+            d = z1 ^ z2
             base = low ^ (z1 | z2)
-            pairs = splits[z1 ^ z2][(base.bit_count() + 1) & 1]
+            parity = (base.bit_count() + 1) & 1
+            rest = d ^ (1 << (d.bit_length() - 1))
             base |= top
-            out += [(z1, z2, ints[base | a], ints[base | b]) for a, b in pairs]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _brindled_ints(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All brindled quadruples of (n+1)-bit vectors as sorted int 4-tuples,
-    in lexicographic order."""
-    return tuple(_brindled_rows(n, 1 << n))
+            w = 0
+            while True:
+                if w.bit_count() & 1 == parity:
+                    yield (z1, z2, ints[base | w], ints[base | w ^ d])
+                if w == rest:
+                    break
+                w = (w - rest) & rest  # next submask of rest, in increasing order
 
 
 def enumerate_brindled(n: int):
     """Iterator over each unordered brindled quadruple of (n+1)-vectors
     once, vectors sorted, quadruples in lexicographic order.  Raises
     EnvelopeError at once above MAX_BRINDLED quadruples."""
+    _check_brindled(n)
     m = n + 1
-    return (Quadruple(tuple(_int_to_vec(v, m) for v in quad)) for quad in _brindled_ints(n))
+    return (Quadruple(tuple(_int_to_vec(v, m) for v in quad)) for quad in _brindled_rows(n, 1 << n))
 
 
 def count_twin(n: int) -> int:
@@ -330,6 +321,7 @@ def census_recurrence(n: int) -> QuadrupleCensus:
 def _brindled_bar_indices(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """For every brindled quadruple, the four lam-domain indices obtained by
     dropping position 0 of each vector."""
+    _check_brindled(n)
     return tuple(_brindled_rows(n, 0))
 
 

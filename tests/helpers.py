@@ -14,7 +14,9 @@ from lhc import (
     Transversal,
     ValidationReport,
     coords_of,
+    enumerate_transversals,
     gen_iterated_group,
+    l_cell,
 )
 from lhc.algebra import Leaf, check_permutation, factor_on_subset, inverse_permutation
 
@@ -117,6 +119,16 @@ def reference_brindled_ints(n: int) -> list:
                 if z4 > z3 and (z1 | z2 | z3 | z4) == full and not (z1 & z2 & z3 & z4):
                     out.append((z1, z2, z3, z4))
     return out
+
+
+def reference_transversals_by_quadruple(cube) -> dict:
+    """transversals_by_quadruple with one Quadruple.of of the pair-indicator
+    images per transversal, in the order the enumerator yields them."""
+    buckets: dict = {}
+    for t in enumerate_transversals(cube):
+        key = Quadruple.of(tuple(l_cell(c) for c in t.cells))
+        buckets[key] = buckets.get(key, 0) + 1
+    return buckets
 
 
 # ---------------------------------------------------------------------------

@@ -378,3 +378,22 @@ def test_verify_skip_slow_reports_reason(tmp_path, capsys):
     assert rc == 0
     assert "SKIP" in out
     assert "skipped:" in out
+
+
+@pytest.mark.parametrize("command", ["gen", "apply", "verify"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command):
+    cube = tmp_path / "c.lhc"
+    run(capsys, "gen", "iterated", "--group", "z22", "--n", "2", "--q", "4", "-o", str(cube))
+    target = tmp_path / "missing" / "out"
+    argv = {
+        "gen": ["gen", "iterated", "--group", "z22", "--n", "2", "--q", "4", "-o", str(target)],
+        "apply": ["apply", str(cube), "-o", str(target)],
+        "verify": ["verify", "--claim", "C01", "--json", str(target)],
+    }[command]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    # verify has printed its report before it writes the sidecar
+    assert ("C01" in out) == (command == "verify")

@@ -2,7 +2,8 @@
 formula counter, on cubes drawn from randgen; the whole-buffer file routines
 and the streamed table builders against their cell-by-cell references; the
 factorization search against the plain subset sweep; the table-free
-zero-sum brindled count against the listed quadruples."""
+zero-sum brindled count against the listed quadruples; the bucketing by
+block quadruple against one Quadruple per transversal."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from helpers import (
     reference_parastrophe,
     reference_semilinear,
     reference_serialize_lhc,
+    reference_transversals_by_quadruple,
     reference_two_level,
     reference_validate_latin,
 )
@@ -48,6 +50,7 @@ from lhc import (
     lambda_z4,
     parse_lhc,
     serialize_lhc,
+    transversals_by_quadruple,
     validate_latin,
     verify_transversal,
 )
@@ -303,3 +306,31 @@ def test_table_free_zero_sum_count_matches_the_listed_quadruples(n, seed):
 def test_table_free_zero_sum_count_on_fixed_orientations(n):
     for lam in (BooleanFn(n, (0,) * (1 << n)), BooleanFn(n, (1,) * (1 << n)), lambda_z4(n)):
         assert _zero_sum_brindled_faces(lam) == _zero_sum_by_list(lam)
+
+
+# ---------------------------------------------------------------------------
+# Bucketing by block quadruple against one Quadruple per transversal
+# ---------------------------------------------------------------------------
+
+
+def _check_buckets(lam):
+    cube = gen_semilinear(lam)
+    buckets = transversals_by_quadruple(cube)
+    # the same keys and counts, in the order of first appearance
+    assert list(buckets.items()) == list(reference_transversals_by_quadruple(cube).items())
+    # the closed form counts the same transversals without a search
+    total = count_transversals_formula(lam) if lam.n >= 2 else count_transversals(cube)
+    assert sum(buckets.values()) == total
+
+
+@PROPERTY
+@given(n=st.integers(1, 4), seed=seeds)
+def test_quadruple_buckets_match_the_per_transversal_reference(n, seed):
+    _check_buckets(random_lambda(n, random.Random(seed)))
+
+
+def test_quadruple_buckets_at_arity_five():
+    # 120 of the 240 brindled quadruples sum to zero: 65,536 transversals
+    lam = BooleanFn.from_string("11100100101010101101011010000001")
+    assert count_transversals_formula(lam) == 8**4 + 2 * 4**4 * 120
+    _check_buckets(lam)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -35,7 +36,7 @@ from lhc import (
 )
 from lhc.algebra import GroupKind
 from lhc.randgen import random_lambda
-from lhc.semilinear import MAX_BRINDLED, _brindled_bar_indices, _brindled_ints
+from lhc.semilinear import MAX_BRINDLED, _brindled_bar_indices, _brindled_rows
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,7 @@ def test_enumerate_brindled_matches_brute_force(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_brindled_tables_match_triple_loop(n):
     expected = reference_brindled_ints(n)
-    assert list(_brindled_ints(n)) == expected
+    assert list(_brindled_rows(n, 1 << n)) == expected
     low = (1 << n) - 1
     assert list(_brindled_bar_indices(n)) == [tuple(z & low for z in quad) for quad in expected]
 
@@ -181,6 +182,19 @@ def test_brindled_tables_are_bounded():
     ):
         with pytest.raises(EnvelopeError, match="brindled quadruples"):
             call()
+
+
+def test_enumerate_brindled_streams():
+    # the whole arity-10 table is 1.9M quadruples; the first one needs none
+    # of the others
+    tracemalloc.start()
+    try:
+        first = next(enumerate_brindled(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classify_quadruple(first) is QuadrupleClass.BRINDLED
+    assert peak < 1 << 20
 
 
 def test_enumerate_twin_counts():
