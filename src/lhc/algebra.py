@@ -15,9 +15,12 @@ from enum import Enum
 from itertools import combinations, repeat
 from operator import add, getitem, mul
 from random import Random
+from typing import TYPE_CHECKING
 
-from .core import EnvelopeError, LatinHypercube, StructuralError, cell_sums, check_scale
-from .engine import ENVELOPE_MAX_CELLS, Transversal, verify_transversal
+from .core import ENVELOPE_MAX_CELLS, EnvelopeError, LatinHypercube, StructuralError, cell_sums, check_scale
+
+if TYPE_CHECKING:
+    from .engine import Transversal
 
 # ---------------------------------------------------------------------------
 # Permutations
@@ -475,6 +478,8 @@ def lift_transversals_product(
     The outer cell whose first argument is v is matched with the inner cell
     whose output is v, so distinct input pairs give distinct results.
     """
+    from .engine import Transversal, verify_transversal
+
     if not verify_transversal(split.outer, tg):
         raise ValueError("tg is not a transversal of the outer factor")
     if not verify_transversal(split.inner, th):
@@ -500,6 +505,8 @@ def lift_transversals_fiber(
     any of the q! pairings produces a transversal of the composed cube, each
     pairing a different one.
     """
+    from .engine import Transversal, verify_transversal
+
     q = split.inner.q
     tau = check_permutation(tau, q)
     fiber = fiber_quasigroup(split.inner, a)

@@ -20,10 +20,12 @@ from typing import Iterator
 
 Cell = tuple[int, ...]
 
-# Desk-scale bounds for the representation itself (searches are bounded
-# separately by the engine's envelope).
+# Desk-scale bounds for the representation itself.
 MAX_ORDER = 8
 MAX_CELLS = 1 << 24
+# The tighter bound of the exact search, whose preparation holds one mask
+# per cell, and of find_factorization; engine and algebra both read it.
+ENVELOPE_MAX_CELLS = 1 << 20
 
 
 class LhcError(Exception):

@@ -28,13 +28,21 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .core import Cell, EnvelopeError, LatinHypercube, UnsupportedOrderError, cell_sums
-from .semilinear import Quadruple, _int_to_vec, detect_semilinear
+from .core import (
+    ENVELOPE_MAX_CELLS,
+    Cell,
+    EnvelopeError,
+    LatinHypercube,
+    UnsupportedOrderError,
+    cell_sums,
+)
+
+if TYPE_CHECKING:
+    from .semilinear import Quadruple
 
 ENVELOPE_MAX_ORDER = 6
-ENVELOPE_MAX_CELLS = 1 << 20
 # Mask tests one search may make: a level of a half table or of the tail
 # table costs len(table) * len(class) of them, known before it runs.
 MAX_MASK_TESTS = 1 << 26
@@ -222,6 +230,8 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
 def transversals_by_quadruple(cube: LatinHypercube) -> dict[Quadruple, int]:
     """Bucket every transversal of a standardly semilinear cube by the
     quadruple of pair-indicator images of its four cells."""
+    from .semilinear import Quadruple, _int_to_vec, detect_semilinear
+
     if cube.q != 4:
         raise UnsupportedOrderError(f"quadruple bucketing needs order 4, got q={cube.q}")
     if detect_semilinear(cube) is None:

@@ -478,6 +478,23 @@ def sidecar_payload(results: list[ClaimResult]) -> dict:
             for (n, q), v in sorted(EXTERNAL_CENSUS_MINIMA.items())
         ],
         "all_passed": all(r.passed for r in results if not r.skipped),
+        "provenance": _provenance(),
+    }
+
+
+def _provenance() -> dict:
+    """What produced the report: package and Python versions, the platform,
+    and the UTC time it was written."""
+    import platform
+    from datetime import datetime, timezone
+
+    from . import __version__
+
+    return {
+        "lhc": __version__,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
 
 

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import platform
 import random
+import subprocess
+import sys
 import tracemalloc
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+import lhc
 from lhc import algebra, brindled_count_closed, engine, parse_lhc, lambda_z4, gen_semilinear, serialize_lhc, semilinear
-from lhc.cli import main
+from lhc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -363,6 +371,14 @@ def test_verify_subset(tmp_path, capsys):
     payload = json.loads(sidecar.read_text())
     assert payload["all_passed"] is True
     assert {c["claim_id"] for c in payload["claims"]} == {"C01", "C05"}
+    assert set(payload) == {"claims", "external_census_minima", "all_passed", "provenance"}
+    prov = payload["provenance"]
+    assert prov["lhc"] == lhc.__version__
+    assert prov["python"] == platform.python_version()
+    assert prov["platform"] == platform.platform()
+    stamp = datetime.fromisoformat(prov["utc"])
+    assert stamp.utcoffset() == timedelta(0)
+    assert abs(datetime.now(timezone.utc) - stamp) < timedelta(minutes=10)
 
 
 def test_verify_unknown_claim(tmp_path, capsys):
@@ -397,3 +413,48 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command):
     assert "Traceback" not in err
     # verify has printed its report before it writes the sidecar
     assert ("C01" in out) == (command == "verify")
+
+
+_CORE = ["lhc", "lhc.cli", "lhc.core"]
+_FOOTPRINTS = [
+    (["validate", "{cube}"], _CORE),
+    (["gen", "iterated", "--group", "z4", "--n", "3", "--q", "4"], _CORE + ["lhc.algebra"]),
+    (["apply", "{cube}", "--parastrophe", "1,0,2,3"], _CORE + ["lhc.algebra"]),
+    (["apply", "{cube}", "--show-counts"], _CORE + ["lhc.algebra", "lhc.engine"]),
+    (["gen", "semilinear", "--lambda", "0110"], _CORE + ["lhc.semilinear"]),
+    (["quadruples", "--lambda", "0110"], _CORE + ["lhc.semilinear"]),
+    (["gen", "compose", "--spec", "{spec}"], _CORE + ["lhc.algebra", "lhc.compspec"]),
+    (["classify", "{cube}"], _CORE + ["lhc.algebra", "lhc.semilinear"]),
+    (["transversals", "{cube}"], _CORE + ["lhc.engine"]),
+]
+
+
+def test_each_command_imports_only_its_modules(tmp_path, capsys):
+    cube = tmp_path / "c.lhc"
+    spec = tmp_path / "tree.sexp"
+    assert run(capsys, "gen", "iterated", "--group", "z4", "--n", "3", "--q", "4", "-o", str(cube))[0] == 0
+    spec.write_text('(op "0 1 2 3 1 0 3 2 2 3 0 1 3 2 1 0" (var 1) (var 2))\n')
+    assert run(capsys, "gen", "compose", "--spec", str(spec))[0] == 0
+    src = Path(lhc.__file__).resolve().parent.parent
+    probe = (
+        "import sys, contextlib, io, lhc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = lhc.cli.main(sys.argv[1:])\n"
+        "print(rc, *sorted(m for m in sys.modules if m == 'lhc' or m.startswith('lhc.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv, expected in _FOOTPRINTS:
+        argv = [a.format(cube=cube, spec=spec) for a in argv]
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"] + sorted(expected), argv
+
+    def sub(parser, name):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices[name]
+
+    iterated = sub(sub(build_parser(), "gen"), "iterated")
+    group = next(a for a in iterated._actions if a.dest == "group")
+    assert group.choices == [k.value for k in algebra.GroupKind]

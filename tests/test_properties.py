@@ -3,7 +3,9 @@ formula counter, on cubes drawn from randgen; the whole-buffer file routines
 and the streamed table builders against their cell-by-cell references; the
 factorization search against the plain subset sweep; the table-free
 zero-sum brindled count against the listed quadruples; the bucketing by
-block quadruple against one Quadruple per transversal."""
+block quadruple against one Quadruple per transversal; the count's
+invariance under transforms, factorization of two-level splits, and
+lifted transversals verified on the composed cube."""
 
 from __future__ import annotations
 
@@ -43,13 +45,17 @@ from lhc import (
     count_transversals_formula,
     detect_semilinear,
     enumerate_transversals,
+    factor_on_subset,
     fiber_quasigroup,
     find_factorization,
     gen_iterated_group,
     gen_semilinear,
     lambda_z4,
+    lift_transversals_fiber,
+    lift_transversals_product,
     parse_lhc,
     serialize_lhc,
+    slice_first,
     transversals_by_quadruple,
     validate_latin,
     verify_transversal,
@@ -334,3 +340,45 @@ def test_quadruple_buckets_at_arity_five():
     lam = BooleanFn.from_string("11100100101010101101011010000001")
     assert count_transversals_formula(lam) == 8**4 + 2 * 4**4 * 120
     _check_buckets(lam)
+
+
+# ---------------------------------------------------------------------------
+# Transforms, two-level splits and lifting on random instances
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(n=st.integers(1, 4), q=st.integers(2, 4), seed=seeds)
+def test_count_is_invariant_under_a_random_transform(n, q, seed):
+    rng = random.Random(seed)
+    cube = random_quasigroup(n, q, rng)
+    spec = random_transform(n, q, rng)
+    assert count_transversals(apply_transform(cube, spec)) == count_transversals(cube)
+
+
+@PROPERTY
+@given(n=st.integers(3, 5), q=st.integers(2, 4), seed=seeds)
+def test_factor_on_subset_inverts_a_two_level_split(n, q, seed):
+    split = random_two_level(n, q, random.Random(seed))
+    cube = split.compose()
+    found = factor_on_subset(cube, split.inner_vars)
+    assert found is not None
+    assert found.inner_vars == split.inner_vars
+    assert found.compose() == cube
+
+
+@PROPERTY
+@given(n=st.integers(3, 4), q=st.integers(2, 4), seed=seeds, data=st.data())
+def test_lifted_transversals_verify_on_the_composed_cube(n, q, seed, data):
+    split = random_two_level(n, q, random.Random(seed))
+    cube = split.compose()
+    for tg in enumerate_transversals(split.outer, limit=3):
+        for th in enumerate_transversals(split.inner, limit=3):
+            assert verify_transversal(cube, lift_transversals_product(tg, th, split))
+    a = data.draw(st.integers(0, q - 1))
+    tau = data.draw(st.permutations(range(q)))
+    fiber_ts = list(enumerate_transversals(fiber_quasigroup(split.inner, a), limit=3))
+    slice_ts = list(enumerate_transversals(slice_first(split.outer, a), limit=3))
+    for th in fiber_ts:
+        for tg in slice_ts:
+            assert verify_transversal(cube, lift_transversals_fiber(th, tg, tau, split, a))
