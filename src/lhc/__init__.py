@@ -53,8 +53,6 @@ _EXPORTS = {
         "ValidationReport",
         "coords_of",
         "index_of",
-        "l_cell",
-        "l_of",
         "parse_lhc",
         "serialize_lhc",
         "validate_latin",

@@ -154,19 +154,6 @@ class TransformSpec:
     isotopy: tuple[tuple[int, ...], ...] | None = None
     parastrophe: tuple[int, ...] | None = None
 
-    def inverse(self) -> "TransformSpec":
-        iso, par = self.isotopy, self.parastrophe
-        if par is None:
-            inv_iso = None if iso is None else tuple(inverse_permutation(p) for p in iso)
-            return TransformSpec(inv_iso, None)
-        inv_par = inverse_permutation(par)
-        inv_iso = None
-        if iso is not None:
-            # undoing "isotopy then parastrophe" in a single spec of the same
-            # shape requires the inverse isotopy pre-permuted by the roles
-            inv_iso = tuple(inverse_permutation(iso[par[j]]) for j in range(len(iso)))
-        return TransformSpec(inv_iso, inv_par)
-
 
 def apply_isotopy(cube: LatinHypercube, perms) -> LatinHypercube:
     """R with R[s1^-1(x1)..sn^-1(xn)] = s0^-1(Q[x1..xn])."""
@@ -338,27 +325,17 @@ def factor_on_subset(cube: LatinHypercube, subset) -> TwoLevelComposition | None
     m = len(subset)
     rest = tuple(v for v in range(1, n + 1) if v not in set(subset))
     n_rest = n - m
-    rest_offsets = list(cell_sums(_strided([q ** (n - v) for v in rest], q)))
-    values = cube.values
-
-    signatures: dict[bytes, int] = {}
-    inner_vals = bytearray(q**m)
-    for s_idx, base in enumerate(cell_sums(_strided([q ** (n - v) for v in subset], q))):
-        col = bytes(_gather(values, map(add, repeat(base), rest_offsets)))
-        if col not in signatures:
-            signatures[col] = col[0]
-            if len(signatures) > q:
-                return None
-        inner_vals[s_idx] = signatures[col]
-    if len(signatures) != q:
+    bases = list(cell_sums(_strided([q ** (n - v) for v in subset], q)))
+    offsets = list(cell_sums(_strided([q ** (n - v) for v in rest], q)))
+    columns = _distinct_columns(cube.values, q, bases, offsets)
+    if columns is None or len({col[0] for col in columns}) != q:
         return None
-    labels = [sig[0] for sig in signatures]
-    if len(set(labels)) != q:
-        return None
+    # the label of the column at base is its first reading, values[base]
+    inner_vals = _gather(cube.values, bases)
     outer_vals = bytearray(q ** (n_rest + 1))
     block = q**n_rest
-    for sig, label in signatures.items():
-        outer_vals[label * block : (label + 1) * block] = sig
+    for col in columns:
+        outer_vals[col[0] * block : (col[0] + 1) * block] = col
     inner = LatinHypercube(m, q, bytes(inner_vals))
     outer = LatinHypercube(n_rest + 1, q, bytes(outer_vals))
     return TwoLevelComposition(outer, inner, subset)
@@ -396,7 +373,7 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
             else:
                 bases = _probe_offsets(inner, q, _PROBES * q, rng)
                 offsets = list(cell_sums(_strided(rest, q)))
-            if _more_than_q_columns(values, q, bases, offsets):
+            if _distinct_columns(values, q, bases, offsets) is None:
                 continue
             fac = factor_on_subset(cube, subset)
             if fac is not None:
@@ -419,15 +396,15 @@ def _probe_offsets(strides, q: int, count: int, rng: Random):
     return (sum(k // q**j % q * s for j, s in enumerate(strides)) for k in rng.sample(range(total), count))
 
 
-def _more_than_q_columns(values: bytes, q: int, bases, offsets) -> bool:
-    """True as soon as the readings of values at base + offsets, one per
-    base, take more than q distinct values."""
+def _distinct_columns(values: bytes, q: int, bases, offsets) -> set[bytes] | None:
+    """The distinct readings of values at base + offsets, one per base, or
+    None as soon as there are more than q of them."""
     seen: set[bytes] = set()
     for base in bases:
         seen.add(bytes(_gather(values, map(add, repeat(base), offsets))))
         if len(seen) > q:
-            return True
-    return False
+            return None
+    return seen
 
 
 # ---------------------------------------------------------------------------

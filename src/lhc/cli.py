@@ -46,12 +46,15 @@ class _OutputError(Exception):
         super().__init__(f"cannot write {path}: {error.strerror or error}")
 
 
-def _read_cube(path: str) -> LatinHypercube:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise _InputError(f"cannot read {path}: {e}") from None
-    cube = parse_lhc(text)
+
+
+def _read_cube(path: str) -> LatinHypercube:
+    cube = parse_lhc(_read_text(path))
     report = validate_latin(cube)
     if not report.ok:
         first = report.violations[0]
@@ -79,10 +82,7 @@ def _read_lambda(args):
     if getattr(args, "lambda_bits", None):
         return parse_lambda(args.lambda_bits)
     if getattr(args, "lambda_file", None):
-        try:
-            return parse_lambda(Path(args.lambda_file).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise _InputError(f"cannot read {args.lambda_file}: {e}") from None
+        return parse_lambda(_read_text(args.lambda_file))
     raise ValueError("one of --lambda or --lambda-file is required")
 
 
@@ -120,21 +120,13 @@ def _cmd_gen(args) -> int:
         from .algebra import compose
         from .compspec import parse_composition_spec
 
-        try:
-            text = Path(args.spec).read_text(encoding="utf-8")
-        except OSError as e:
-            raise _InputError(f"cannot read {args.spec}: {e}") from None
-        cube = compose(parse_composition_spec(text))
+        cube = compose(parse_composition_spec(_read_text(args.spec)))
     _write_cube(cube, args.out)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = Path(args.path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise _InputError(f"cannot read {args.path}: {e}") from None
-    cube = parse_lhc(text)
+    cube = parse_lhc(_read_text(args.path))
     report = validate_latin(cube)
     if report.ok:
         print(f"ok: latin hypercube, arity {cube.n}, order {cube.q}")

@@ -18,20 +18,10 @@ from __future__ import annotations
 import math
 import re
 
-from .algebra import BinaryOp, CompositionSpec, Leaf, Node, TransformSpec
-from .core import ParseError, StructuralError
+from .algebra import BinaryOp, CompositionSpec, Leaf, Node, TransformSpec, _collect
+from .core import ParseError, StructuralError, _tokens
 
 _TOKEN = re.compile(r"\(|\)|\"[^\"]*\"|[^\s()\"]+")
-
-
-def _tokenize(text: str):
-    tokens = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        if raw.lstrip().startswith("#"):
-            continue
-        for m in _TOKEN.finditer(raw):
-            tokens.append((m.group(), ln, m.start() + 1))
-    return tokens
 
 
 class _Reader:
@@ -113,26 +103,21 @@ def _parse_perm_string(s, q, ln, col):
 
 
 def parse_composition_spec(text: str) -> CompositionSpec:
-    tokens = _tokenize(text)
+    tokens = _tokens(text, _TOKEN)
     if not tokens:
         raise ParseError("empty composition spec", 1, 1)
     reader = _Reader(tokens)
     root = _parse_expr(reader)
     leaves: list[int] = []
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            leaves.append(node.var)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(root)
+    ops: list[BinaryOp] = []
+    _collect(root, leaves, ops)
     n = len(leaves)
     if sorted(leaves) != list(range(1, n + 1)):
         tok = tokens[0]
         raise ParseError(f"leaf labels {sorted(leaves)} are not 1..{n}", tok[1], tok[2])
-    q = _tree_order(root)
+    if not ops:
+        raise ParseError("a composition needs at least one operation node", 1, 1)
+    q = ops[0].q
 
     parastrophe = None
     isotopy = None
@@ -172,12 +157,6 @@ def parse_composition_spec(text: str) -> CompositionSpec:
     if isotopy is not None or parastrophe is not None:
         transform = TransformSpec(isotopy, parastrophe)
     return CompositionSpec(n, root, transform)
-
-
-def _tree_order(node) -> int:
-    if isinstance(node, Leaf):
-        raise ParseError("a composition needs at least one operation node", 1, 1)
-    return node.op.q
 
 
 def format_composition_spec(spec: CompositionSpec) -> str:

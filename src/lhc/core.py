@@ -104,8 +104,11 @@ def _axis_sums(weights) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def check_scale(n: int, q: int) -> int:
-    """The cell count q**n, or StructuralError when it exceeds MAX_CELLS.
-    Table builders call it before they allocate."""
+    """The cell count q**n, or StructuralError when the order is not in
+    1..MAX_ORDER or the count exceeds MAX_CELLS.  Table builders call it
+    before they allocate."""
+    if not 1 <= q <= MAX_ORDER:
+        raise StructuralError(f"order must be in 1..{MAX_ORDER}, got {q}")
     if q >= 2 and n >= MAX_CELLS.bit_length():
         raise StructuralError(f"q**n = {q}**{n} exceeds the supported scale {MAX_CELLS}")
     size = q**n
@@ -129,8 +132,6 @@ class LatinHypercube:
     def __post_init__(self):
         if self.n < 1:
             raise StructuralError(f"arity must be >= 1, got {self.n}")
-        if not 1 <= self.q <= MAX_ORDER:
-            raise StructuralError(f"order must be in 1..{MAX_ORDER}, got {self.q}")
         size = check_scale(self.n, self.q)
         if len(self.values) != size:
             raise StructuralError(f"expected {size} symbols, got {len(self.values)}")
@@ -193,21 +194,6 @@ def validate_latin(cube: LatinHypercube) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Order-4 helper functions
-# ---------------------------------------------------------------------------
-
-def l_of(s: int) -> int:
-    """Pair indicator on {0,1,2,3}: 0 for the pair {0,1}, 1 for {2,3}."""
-    if not 0 <= s < 4:
-        raise UnsupportedOrderError(f"l is defined on symbols 0..3, got {s}")
-    return s >> 1
-
-
-def l_cell(cell: Cell) -> tuple[int, ...]:
-    return tuple(l_of(x) for x in cell)
-
-
-# ---------------------------------------------------------------------------
 # Text format
 #
 # Header "LHC <n> <q>", then q**n whitespace-separated symbols in index
@@ -259,26 +245,26 @@ def parse_lhc(text: str) -> LatinHypercube:
     return _parse_tokens(text)
 
 
+def _tokens(text: str, pattern: re.Pattern = _TOKEN) -> list[tuple[str, int, int]]:
+    """The matches of `pattern` in `text`, each with its 1-based line and
+    column, skipping the lines whose first non-blank character is '#'."""
+    return [
+        (m.group(), ln, m.start() + 1)
+        for ln, raw in enumerate(text.splitlines(), start=1)
+        if not raw.lstrip().startswith("#")
+        for m in pattern.finditer(raw)
+    ]
+
+
 def _parse_tokens(text: str) -> LatinHypercube:
     """parse_lhc token by token, with the line and column of every token."""
-    lines = text.splitlines()
-    header = None
-    header_line = 0
-    body_tokens: list[tuple[str, int, int]] = []
-    for ln, raw in enumerate(lines, start=1):
-        if raw.lstrip().startswith("#"):
-            continue
-        toks = [(m.group(), ln, m.start() + 1) for m in _TOKEN.finditer(raw)]
-        if not toks:
-            continue
-        if header is None:
-            header = toks
-            header_line = ln
-        else:
-            body_tokens.extend(toks)
-
-    if header is None:
+    tokens = _tokens(text)
+    if not tokens:
         raise ParseError("empty input, expected 'LHC <n> <q>' header", 1, 1)
+    # the header is the first line that holds a token
+    header_line = tokens[0][1]
+    header = [tok for tok in tokens if tok[1] == header_line]
+    body_tokens = tokens[len(header) :]
     if header[0][0] != "LHC":
         raise ParseError(f"expected 'LHC' header, got {header[0][0]!r}", header_line, header[0][2])
     if len(header) != 3:
@@ -302,7 +288,7 @@ def _parse_tokens(text: str) -> LatinHypercube:
         tok, ln, col = body_tokens[expected]
         raise ParseError(f"expected {expected} symbols, found extra token {tok!r}", ln, col)
     if len(body_tokens) < expected:
-        raise ParseError(f"expected {expected} symbols, got {len(body_tokens)}", len(lines), 1)
+        raise ParseError(f"expected {expected} symbols, got {len(body_tokens)}", len(text.splitlines()), 1)
 
     out = bytearray(expected)
     for i, (tok, ln, col) in enumerate(body_tokens):

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
-from .core import EnvelopeError, LatinHypercube, ParseError, UnsupportedOrderError, cell_sums, check_scale
+from .core import EnvelopeError, LatinHypercube, ParseError, UnsupportedOrderError, _tokens, cell_sums, check_scale
 
 # ---------------------------------------------------------------------------
 # Boolean orientation functions
@@ -63,11 +63,7 @@ class BooleanFn:
 
 def parse_lambda(text: str) -> BooleanFn:
     """Accept a bare bit string or the file form 'LAMBDA <n>' + bits."""
-    tokens = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        if raw.lstrip().startswith("#"):
-            continue
-        tokens.extend((t, ln) for t in raw.split())
+    tokens = _tokens(text)
     if not tokens:
         raise ParseError("empty orientation function", 1, 1)
     if tokens[0][0] == "LAMBDA":
@@ -77,7 +73,7 @@ def parse_lambda(text: str) -> BooleanFn:
             n = int(tokens[1][0])
         except ValueError:
             raise ParseError("arity must be an integer", tokens[1][1], 1) from None
-        bits, ln = tokens[2]
+        bits, ln, _ = tokens[2]
         fn = _checked_lambda(bits, ln)
         if fn.n != n:
             raise ParseError(f"bit string length {len(bits)} does not match arity {n}", ln, 1)

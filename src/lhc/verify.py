@@ -232,26 +232,19 @@ def _claim_odd_floor():
             c = count_transversals(gen_iterated_group(kind, n, 4))
             ok = ok and c >= floor
     semi_floor = (16**2 + 2 * 8**2) // 3
-    worst = None
-    for lam in _all_lambdas(3):
-        c = count_transversals(gen_semilinear(lam))
-        worst = c if worst is None else min(worst, c)
-        ok = ok and c >= semi_floor >= 64
+    worst = min(count_transversals(gen_semilinear(lam)) for lam in _all_lambdas(3))
+    ok = ok and worst >= semi_floor >= 64
     details.append(f"256 semilinear n=3 min={worst} (floor {semi_floor})")
     rng = random.Random(88)
-    tree_min = {3: None, 5: None}
-    for n, reps in ((3, 30), (5, 20)):
-        for _ in range(reps):
-            c = count_transversals(compose(random_tree(n, 4, rng)))
-            tree_min[n] = c if tree_min[n] is None else min(tree_min[n], c)
-            ok = ok and c >= 8 ** (n - 1)
+    tree_min = {
+        n: min(count_transversals(compose(random_tree(n, 4, rng))) for _ in range(reps))
+        for n, reps in ((3, 30), (5, 20))
+    }
+    ok = ok and all(c >= 8 ** (n - 1) for n, c in tree_min.items())
     details.append(f"tree minima n=3:{tree_min[3]} n=5:{tree_min[5]}")
     n5_floor = (16**4 + 2 * 8**4) // 3
-    worst5 = None
-    for _ in range(200):
-        c = count_transversals_formula(random_lambda(5, rng))
-        worst5 = c if worst5 is None else min(worst5, c)
-        ok = ok and c >= n5_floor
+    worst5 = min(count_transversals_formula(random_lambda(5, rng)) for _ in range(200))
+    ok = ok and worst5 >= n5_floor
     details.append(f"200 semilinear n=5 formula min={worst5} (floor {n5_floor})")
     return (
         "all n=3 fixtures >= 64 (semilinear >= 128); all n=5 >= 4096 (semilinear >= 24576)",
@@ -313,23 +306,21 @@ def _claim_completely_reducible_bound():
     details = []
     for n in (3, 5):
         bound = lower_bound_completely_reducible(n, 4)
-        worst = min(
-            count_transversals(gen_iterated_group(GroupKind.Z4, n, 4)),
-            count_transversals(gen_iterated_group(GroupKind.Z2X2, n, 4)),
-        )
         rng = random.Random(900 + n)
-        for _ in range(10 if n == 3 else 6):
-            worst = min(worst, count_transversals(compose(random_tree(n, 4, rng))))
+        groups = [gen_iterated_group(kind, n, 4) for kind in (GroupKind.Z4, GroupKind.Z2X2)]
+        trees = [compose(random_tree(n, 4, rng)) for _ in range(10 if n == 3 else 6)]
+        worst = min(map(count_transversals, groups + trees))
         ok = ok and worst >= bound
         details.append(f"n={n}: min={worst} bound={bound}")
     rng = random.Random(904)
     bound4 = lower_bound_completely_reducible(4, 4, even_case_applicable=True)
-    worst4 = count_transversals(gen_iterated_group(GroupKind.Z2X2, 4, 4))
-    for _ in range(5):
-        # pin an XOR isotope innermost so the split-off binary factor has
-        # transversals, making the even-arity bound applicable
-        tree = random_tree(4, 4, rng, leaf_pair_op=random_binary_op(4, rng, with_transversals=True))
-        worst4 = min(worst4, count_transversals(compose(tree)))
+    # pin an XOR isotope innermost so the split-off binary factor has
+    # transversals, making the even-arity bound applicable
+    trees = [
+        compose(random_tree(4, 4, rng, leaf_pair_op=random_binary_op(4, rng, with_transversals=True)))
+        for _ in range(5)
+    ]
+    worst4 = min(map(count_transversals, [gen_iterated_group(GroupKind.Z2X2, 4, 4)] + trees))
     ok = ok and worst4 >= bound4
     details.append(f"n=4 applicable: min={worst4} bound={bound4}")
     return "bounds 96/9216/1; every fixture count meets its bound", "; ".join(details), ok

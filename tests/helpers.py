@@ -12,13 +12,13 @@ from lhc import (
     LineRef,
     Quadruple,
     Transversal,
+    TwoLevelComposition,
     ValidationReport,
     coords_of,
     enumerate_transversals,
     gen_iterated_group,
-    l_cell,
 )
-from lhc.algebra import Leaf, check_permutation, factor_on_subset, inverse_permutation
+from lhc.algebra import Leaf, check_permutation, inverse_permutation
 
 # The two binary order-4 squares behind the layered example cubes: L0 has no
 # transversals, Z4ADD is plain cyclic addition.
@@ -126,7 +126,7 @@ def reference_transversals_by_quadruple(cube) -> dict:
     images per transversal, in the order the enumerator yields them."""
     buckets: dict = {}
     for t in enumerate_transversals(cube):
-        key = Quadruple.of(tuple(l_cell(c) for c in t.cells))
+        key = Quadruple.of(tuple(tuple(x >> 1 for x in c) for c in t.cells))
         buckets[key] = buckets.get(key, 0) + 1
     return buckets
 
@@ -275,13 +275,45 @@ def _index(coords, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def reference_factor_on_subset(cube, subset):
+    """factor_on_subset by a signature loop, cell by cell: each assignment
+    to x_S reads its column over x_rest, a column first seen is labelled by
+    its reading at x_rest = 0, and more than q columns rule S out."""
+    n, q = cube.n, cube.q
+    subset = tuple(sorted(set(subset)))
+    rest = tuple(v for v in range(1, n + 1) if v not in subset)
+
+    def value(xs, xr):
+        x = dict(zip(subset + rest, xs + xr))
+        return cube[tuple(x[v] for v in range(1, n + 1))]
+
+    signatures: dict = {}
+    inner_vals = bytearray()
+    for xs in product(range(q), repeat=len(subset)):
+        col = bytes(value(xs, xr) for xr in product(range(q), repeat=len(rest)))
+        if col not in signatures:
+            signatures[col] = col[0]
+            if len(signatures) > q:
+                return None
+        inner_vals.append(signatures[col])
+    if len(set(signatures.values())) != q:
+        return None
+    block = q ** len(rest)
+    outer_vals = bytearray(q * block)
+    for sig, label in signatures.items():
+        outer_vals[label * block : (label + 1) * block] = sig
+    inner = LatinHypercube(len(subset), q, bytes(inner_vals))
+    outer = LatinHypercube(len(rest) + 1, q, bytes(outer_vals))
+    return TwoLevelComposition(outer, inner, subset)
+
+
 def reference_find_factorization(cube):
-    """factor_on_subset on every input subset, smallest first, each reading
-    the whole cube; the first factorization found."""
+    """reference_factor_on_subset on every input subset, smallest first;
+    the first factorization found."""
     n = cube.n
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
-            fac = factor_on_subset(cube, subset)
+            fac = reference_factor_on_subset(cube, subset)
             if fac is not None:
                 return fac
     return None

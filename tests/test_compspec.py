@@ -73,3 +73,42 @@ def test_parse_errors():
         parse_composition_spec(f'(op "{XOR_TABLE}" (var 1) (var 2)')  # unbalanced
     with pytest.raises(ParseError):
         parse_composition_spec("")
+
+
+OP = f'(op "{XOR_TABLE}" (var 1) (var 2))'
+ID3 = '"0,1,2,3" "0,1,2,3"'
+
+# (text, message, line, column) recorded from the parser as it stood before
+# the three text formats shared one tokenizer; every text keeps its error.
+MALFORMED = [
+    ("", "empty composition spec", 1, 1),
+    ("# only a comment\n   # another\n", "empty composition spec", 1, 1),
+    ("# c\n\n  # d\n(var 1)\n", "a composition needs at least one operation node", 1, 1),
+    (f'(op "{XOR_TABLE}" (var 1) (var 3))', "leaf labels [1, 3] are not 1..2", 1, 1),
+    ('# table\n(op "0 1 1 0 1" (var 1) (var 2))', "operation table needs q*q entries, got 5", 2, 5),
+    ('(op "0 1 1 1" (var 1) (var 2))', "row (1, 1) is not a permutation", 1, 5),
+    ('(op "0 x 1 0" (var 1) (var 2))', "operation table entries must be integers", 1, 5),
+    (OP[:-1], "unexpected end of input", 1, 53),
+    (f'(op "{XOR_TABLE}"\n# between\n (var 1)\n  (var 2))\n(parastrophe 0 1)',
+     "parastrophe must be a permutation of 0..2", 5, 2),
+    (f"{OP}\n(parastrophe 0 1 2)\n(parastrophe 0 1 2)", "duplicate parastrophe clause", 3, 2),
+    (f"{OP}\n(isotopy {ID3})\n(isotopy {ID3} {ID3})", "isotopy needs 3 permutations", 2, 2),
+    (f'{OP} (isotopy "0,1,x,3" {ID3})', "bad permutation '0,1,x,3'", 1, 65),
+    (f'{OP} (isotopy "0,1,1,3" {ID3})', "'0,1,1,3' is not a permutation of 0..3", 1, 65),
+    (f'{OP} (isotopy "0,1,2,3")', "isotopy needs 3 permutations", 1, 57),
+    (f'(op "{XOR_TABLE}"\r\n (var 1)\r\n (vax 2))\r\n', "expected 'var' or 'op', got 'vax'", 3, 3),
+    (f'(op "{XOR_TABLE}" (var 0) (var 1))', "variable index must be >= 1, got 0", 1, 40),
+    ("(var x)", "expected an integer, got 'x'", 1, 6),
+    ("(op 5 (var 1) (var 2))", "expected a quoted operation table, got '5'", 1, 5),
+    (f"{OP}\n# c\n(rotate 1)", "expected 'parastrophe' or 'isotopy' clause, got 'rotate'", 3, 2),
+    (f"{OP} (parastrophe 0 1", "unexpected end of input", 1, 71),
+    (")", "expected '(', got ')'", 1, 1),
+]
+
+
+@pytest.mark.parametrize("text,message,line,column", MALFORMED)
+def test_parse_error_corpus(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_composition_spec(text)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, column)

@@ -13,11 +13,8 @@ from lhc import (
     LineRef,
     ParseError,
     StructuralError,
-    UnsupportedOrderError,
     coords_of,
     index_of,
-    l_cell,
-    l_of,
     parse_lhc,
     serialize_lhc,
     validate_latin,
@@ -97,21 +94,6 @@ def test_graph_cells_pairwise_distance(cube):
         for k in range(cube.n + 1):
             projections = {c[:k] + c[k + 1 :] for c in cells}
             assert len(projections) == len(cells)
-
-
-def test_l_and_nu():
-    assert [l_of(s) for s in range(4)] == [0, 0, 1, 1]
-    assert l_of(2) == 1
-    for s in range(4):
-        # nu(s) = s ^ 1 swaps within a pair
-        assert l_of(s ^ 1) == l_of(s)
-    for bit in (0, 1):
-        assert sum(1 for s in range(4) if l_of(s) == bit) == 2
-    assert l_cell((0, 1, 2, 3)) == (0, 0, 1, 1)
-    with pytest.raises(UnsupportedOrderError):
-        l_of(4)
-    with pytest.raises(UnsupportedOrderError):
-        l_of(-1)
 
 
 def test_parse_identity_permutation():

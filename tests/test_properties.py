@@ -21,6 +21,7 @@ from helpers import (
     reference_brindled_ints,
     reference_compose,
     reference_detect_semilinear,
+    reference_factor_on_subset,
     reference_fiber,
     reference_find_factorization,
     reference_isotopy,
@@ -265,23 +266,42 @@ def test_detect_semilinear_matches_reference(n, how, seed):
 # ---------------------------------------------------------------------------
 
 
-@PROPERTY
-@given(n=st.integers(3, 6), q=st.integers(2, 5),
-       how=st.sampled_from(["tree", "random", "transformed tree", "semilinear", "two-level"]), seed=seeds)
-def test_find_factorization_matches_plain_sweep(n, q, how, seed):
-    rng = random.Random(seed)
+def _factorization_instance(n, q, how, rng):
     if how == "semilinear":
-        cube = gen_semilinear(random_lambda(n, rng))
-    elif how == "random":
-        cube = random_quasigroup(n, q, rng)
-    elif how == "two-level":
-        cube = random_two_level(n, q, rng).compose()
-    else:
-        cube = compose(random_tree(n, q, rng))
-        if how == "transformed tree":
-            cube = apply_transform(cube, random_transform(n, q, rng))
+        return gen_semilinear(random_lambda(n, rng))
+    if how == "random":
+        return random_quasigroup(n, q, rng)
+    if how == "two-level":
+        return random_two_level(n, q, rng).compose()
+    cube = compose(random_tree(n, q, rng))
+    if how == "transformed tree":
+        cube = apply_transform(cube, random_transform(n, q, rng))
+    return cube
+
+
+FACTORIZATION_KINDS = st.sampled_from(["tree", "random", "transformed tree", "semilinear", "two-level"])
+
+
+@PROPERTY
+@given(n=st.integers(3, 6), q=st.integers(2, 5), how=FACTORIZATION_KINDS, seed=seeds)
+def test_find_factorization_matches_plain_sweep(n, q, how, seed):
+    cube = _factorization_instance(n, q, how, random.Random(seed))
     # the same witness: subset, inner table and outer table
     assert find_factorization(cube) == reference_find_factorization(cube)
+
+
+@PROPERTY
+@given(n=st.integers(3, 6), q=st.integers(2, 5), how=FACTORIZATION_KINDS, seed=seeds)
+def test_factor_on_subset_matches_signature_loop(n, q, how, seed):
+    rng = random.Random(seed)
+    cube = _factorization_instance(n, q, how, rng)
+    subsets = [rng.sample(range(1, n + 1), rng.randint(2, n - 1)) for _ in range(4)]
+    found = find_factorization(cube)
+    if found is not None:
+        subsets.append(found.inner_vars)  # one subset that does factor
+    for subset in subsets:
+        # equal outer, inner and inner_vars, or None for both
+        assert factor_on_subset(cube, subset) == reference_factor_on_subset(cube, subset)
 
 
 # ---------------------------------------------------------------------------

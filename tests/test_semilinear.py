@@ -115,6 +115,36 @@ def test_parse_lambda_forms():
         parse_lambda("")
 
 
+# (text, message, line, column) recorded from the parser as it stood before
+# the three text formats shared one tokenizer; the column is always 1.
+MALFORMED_LAMBDA = [
+    ("", "empty orientation function", 1, 1),
+    ("# c\n\n", "empty orientation function", 1, 1),
+    ("LAMBDA 3\n0111", "bit string length 4 does not match arity 3", 2, 1),
+    ("01x1", "bit string may contain only 0 and 1", 1, 1),
+    ("0111 0111", "expected a single bit string", 1, 1),
+    ("0111\n0111", "expected a single bit string", 2, 1),
+    ("LAMBDA\n0111", "expected 'LAMBDA <n>' then one bit string", 1, 1),
+    ("LAMBDA two\n0111", "arity must be an integer", 1, 1),
+    ("# c\nLAMBDA 2\n# d\n011", "bit string length 3 is not a power of two >= 2", 4, 1),
+    ("LAMBDA 2\r\n0111\r\n0000\r\n", "expected 'LAMBDA <n>' then one bit string", 1, 1),
+    ("# c\r\n# d\r\n01x1\r\n", "bit string may contain only 0 and 1", 3, 1),
+    ("LAMBDA 2 0111 1", "expected 'LAMBDA <n>' then one bit string", 1, 1),
+    ("  # indented comment\n012", "bit string length 3 is not a power of two >= 2", 2, 1),
+    ("LAMBDA 2\n\n\n01", "bit string length 2 does not match arity 2", 4, 1),
+    ("# a\n0111 # trailing", "expected a single bit string", 2, 1),
+    ("LAMBDA x y", "arity must be an integer", 1, 1),
+]
+
+
+@pytest.mark.parametrize("text,message,line,column", MALFORMED_LAMBDA)
+def test_parse_lambda_error_corpus(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_lambda(text)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 # ---------------------------------------------------------------------------
 # Quadruples
 # ---------------------------------------------------------------------------
