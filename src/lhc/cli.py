@@ -49,7 +49,7 @@ class _OutputError(Exception):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _InputError(f"cannot read {path}: {e}") from None
 
 

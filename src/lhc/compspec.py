@@ -21,7 +21,7 @@ import re
 from .algebra import BinaryOp, CompositionSpec, Leaf, Node, TransformSpec, _collect
 from .core import ParseError, StructuralError, _tokens
 
-_TOKEN = re.compile(r"\(|\)|\"[^\"]*\"|[^\s()\"]+")
+_TOKEN = re.compile(r"\(|\)|\"[^\"]*\"|[^\s()\"]+|\"")  # a lone " is a token too
 
 
 class _Reader:

@@ -193,10 +193,10 @@ def _even_vectors(m: int) -> tuple[int, ...]:
     return tuple(v for v in range(1 << m) if v.bit_count() % 2 == 0)
 
 
-# The arity envelope of everything brindled: a table (enumerate_brindled,
-# the flat zero-sum pass) holds brindled_count_closed(n) quadruples, about
-# 6^n/32, 1.9M at arity 10 and 11.3M at arity 11; the zero-sum count refuses
-# the same arities, whichever route it takes.
+# The arity envelope of everything brindled: enumerate_brindled lists
+# brindled_count_closed(n) quadruples, about 6^n/32, 1.9M at arity 10 and
+# 11.3M at arity 11; the zero-sum count (second differences of lam over
+# about 3^n/8 cached directions) refuses the same arities.
 MAX_BRINDLED = 1 << 21
 
 
@@ -210,10 +210,10 @@ def _check_brindled(n: int) -> int:
     return count
 
 
-def _brindled_rows(n: int, top: int) -> Iterator[tuple[int, int, int, int]]:
+def _brindled_rows(n: int) -> Iterator[tuple[int, int, int, int]]:
     """Yield all brindled quadruples of (n+1)-bit vectors as sorted int
-    4-tuples, in lexicographic order, with the top bit of z3 and z4 set to
-    `top`; the caller checks the arity against MAX_BRINDLED.
+    4-tuples, in lexicographic order; the caller checks the arity against
+    MAX_BRINDLED.
 
     Position 0 (the top bit) holds two zeros and two ones, so z1 < z2 are
     the even vectors with top bit 0 and z3, z4 have it set.  Where z1 and
@@ -224,7 +224,6 @@ def _brindled_rows(n: int, top: int) -> Iterator[tuple[int, int, int, int]]:
     z1 < z2 is expanded as it is reached, so no table is built.
     """
     low = (1 << n) - 1
-    ints = list(range(1 << (n + 1)))  # shared int objects for the tuples
     halves = _even_vectors(n)
     for i, z1 in enumerate(halves):
         for z2 in halves[i + 1 :]:
@@ -232,11 +231,11 @@ def _brindled_rows(n: int, top: int) -> Iterator[tuple[int, int, int, int]]:
             base = low ^ (z1 | z2)
             parity = (base.bit_count() + 1) & 1
             rest = d ^ (1 << (d.bit_length() - 1))
-            base |= top
+            base |= 1 << n
             w = 0
             while True:
                 if w.bit_count() & 1 == parity:
-                    yield (z1, z2, ints[base | w], ints[base | w ^ d])
+                    yield (z1, z2, base | w, base | w ^ d)
                 if w == rest:
                     break
                 w = (w - rest) & rest  # next submask of rest, in increasing order
@@ -248,7 +247,7 @@ def enumerate_brindled(n: int):
     EnvelopeError at once above MAX_BRINDLED quadruples."""
     _check_brindled(n)
     m = n + 1
-    return (Quadruple(tuple(_int_to_vec(v, m) for v in quad)) for quad in _brindled_rows(n, 1 << n))
+    return (Quadruple(tuple(_int_to_vec(v, m) for v in quad)) for quad in _brindled_rows(n))
 
 
 def count_twin(n: int) -> int:
@@ -313,89 +312,61 @@ def census_recurrence(n: int) -> QuadrupleCensus:
 # Transversal counting through quadruples
 # ---------------------------------------------------------------------------
 
+def _shifts(lam: BooleanFn) -> list[int]:
+    """lam as 2^n ints of 2^n bits: entry e holds lam(y ^ e) at bit y.
+
+    Round j swaps the blocks of 2^j bits in every entry so far, giving the
+    entries with bit j of e set.  The caller checks the arity first: the
+    list holds 4^n bits.
+    """
+    n = lam.n
+    ones = (1 << (1 << n)) - 1
+    shifts = [int(lam.to_string()[::-1], 2)]  # bit y is lam at y
+    for b in (1 << j for j in range(n)):
+        block = ones // ((1 << 2 * b) - 1) * ((1 << b) - 1)  # the y with bit j clear
+        shifts += [(s & block) << b | (s >> b) & block for s in shifts]
+    return shifts
+
+
 @lru_cache(maxsize=None)
-def _brindled_bar_indices(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """For every brindled quadruple, the four lam-domain indices obtained by
-    dropping position 0 of each vector."""
-    _check_brindled(n)
-    return tuple(_brindled_rows(n, 0))
+def _brindled_directions(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The (e, f, e ^ f) with e < f < e ^ f, e | f all ones and e or f odd.
+
+    Dropping position 0 maps the even (n+1)-vectors one to one onto the
+    n-bit y, so a brindled quadruple is a coset y + {0, e, f, e ^ f}: every
+    column holds two ones exactly when each bit lies in two of e, f, e ^ f,
+    and two of the four y are odd exactly when one direction is.  Each
+    direction triple has 2^(n-2) cosets, about 3^n/8 triples in all.  The
+    smallest direction lacks the top bit, so e runs below it, f is ~e plus
+    a submask w of e without e's highest bit (that keeps f < e ^ f).
+    """
+    full = (1 << n) - 1
+    directions = []
+    for e in range(1, 1 << (n - 1)):
+        rest = e ^ (1 << (e.bit_length() - 1))
+        w = 0
+        while True:
+            f = (full ^ e) | w
+            if (e.bit_count() | f.bit_count()) & 1:
+                directions.append((e, f, e ^ f))
+            if w == rest:
+                break
+            w = (w - rest) & rest  # next submask of rest
+    return tuple(directions)
+
+
+def _odd_cosets(shifts: list[int], directions) -> int:
+    """The number of cosets y + {0, e, f, g} over the given directions on
+    which lam sums to 1: the second differences of lam, each coset seen
+    at its four y."""
+    s = shifts[0]
+    return sum((s ^ shifts[e] ^ shifts[f] ^ shifts[g]).bit_count() for e, f, g in directions) >> 2
 
 
 def _zero_sum_brindled(lam: BooleanFn) -> int:
-    """The number of brindled quadruples on whose four indices lam sums to 0.
-
-    A flat pass over the cached table where the table is no longer than the
-    3^n faces the table-free count reads (arity <= 5, every claim call),
-    the table-free count above that.
-    """
-    n = lam.n
-    if _check_brindled(n) > 3**n:
-        return _zero_sum_brindled_faces(lam)
-    bits = lam.bits
-    quads = _brindled_bar_indices(n)
-    return sum(1 for i1, i2, i3, i4 in quads if not bits[i1] ^ bits[i2] ^ bits[i3] ^ bits[i4])
-
-
-def _zero_sum_brindled_faces(lam: BooleanFn) -> int:
-    """_zero_sum_brindled without the table, in O(2^n) ints of 2^n bits.
-
-    Dropping position 0 maps the even (n+1)-vectors one to one onto the
-    n-bit bar vectors y, so a brindled quadruple is four distinct y whose
-    columns each hold two ones and of which exactly two are odd.  Its 24
-    orders are the tuples with e = y1^y2 = y3^y4 != 0 and y3 the complement
-    of y1 off e, once the twins {y, ~y, y, ~y} (e full, odd n only, 2^(n+1)
-    tuples) are set aside.  With g = (-1)^lam, the sum of g(y1)g(y2)g(y3)g(y4)
-    over the brindled quadruples is 2Z - brindled_count_closed(n).  Write
-    y1 = c|a and y3 = (~e^c)|b with c inside ~e and a, b inside e; the sum
-    over a of parity p of g(y1)g(y1^e) is the face value
-    F(c) = |M_p| - 2*popcount((diff >> c) & M_p), diff the bits of
-    lam(y) ^ lam(y^e) and M_p the submasks of e of parity p.  Every (p, p') pairs up when |e|
-    is odd; when |e| is even the parity rule keeps p + p' = n + 1 (mod 2).
-    That reads 3^n faces.
-    """
-    n = lam.n
-    size = 1 << n
-    full = size - 1
-    ones = (1 << size) - 1
-    lam_int = int(lam.to_string()[::-1], 2)  # bit y is lam at y
-    # blocks[j]: the y with bit j clear, for swapping y and y ^ (1 << j)
-    blocks = [ones // ((1 << 2 * b) - 1) * ((1 << b) - 1) for b in (1 << j for j in range(n))]
-    masks = [(1, 0)]  # per e, the submasks of e of even and of odd weight, as sets of y
-    for e in range(1, size):
-        low = e & -e
-        even, odd = masks[e ^ low]
-        masks.append((even | odd << low, odd | even << low))
-    total = 0
-    swapped = lam_int  # lam(y ^ e), e running through the Gray code
-    for k in range(1, size):
-        e = k ^ (k >> 1)
-        j = (k & -k).bit_length() - 1  # the bit that e flips
-        b, block = 1 << j, blocks[j]
-        swapped = (swapped & block) << b | (swapped >> b) & block
-        diff = lam_int ^ swapped
-        even, odd = masks[e]
-        subs = [0]  # submasks of ~e in increasing order: subs[-1-i] = ~e ^ subs[i]
-        rest = full ^ e
-        while rest:
-            low = rest & -rest
-            subs += [c | low for c in subs]
-            rest ^= low
-        weight = e.bit_count()
-        half = 1 << (weight - 1)  # |M_0| = |M_1|
-        if weight & 1:
-            both = even | odd
-            f = [2 * half - 2 * (diff >> c & both).bit_count() for c in subs]
-            total += sum(map(int.__mul__, f, reversed(f)))
-            continue
-        f0 = [half - 2 * (diff >> c & even).bit_count() for c in subs]
-        f1 = [half - 2 * (diff >> c & odd).bit_count() for c in subs]
-        if n & 1:
-            total += sum(map(int.__mul__, f0, reversed(f0))) + sum(map(int.__mul__, f1, reversed(f1)))
-        else:
-            total += 2 * sum(map(int.__mul__, f0, reversed(f1)))
-    if n & 1:
-        total -= 2 << n
-    return (brindled_count_closed(n) + total // 24) // 2
+    """The number of brindled quadruples on whose four indices lam sums to 0."""
+    total = _check_brindled(lam.n)
+    return total - _odd_cosets(_shifts(lam), _brindled_directions(lam.n))
 
 
 def count_transversals_formula(lam: BooleanFn) -> int:
@@ -454,22 +425,6 @@ class DeltaReport:
     plane_parity: PlaneParity
 
 
-@lru_cache(maxsize=None)
-def _two_planes(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Index quadruples of all C(n,2)*2^(n-2) two-dimensional planes."""
-    planes = []
-    positions = range(n)
-    for p1 in positions:
-        for p2 in range(p1 + 1, n):
-            b1 = 1 << (n - 1 - p1)
-            b2 = 1 << (n - 1 - p2)
-            for base in range(1 << n):
-                if base & (b1 | b2):
-                    continue
-                planes.append((base, base | b1, base | b2, base | b1 | b2))
-    return tuple(planes)
-
-
 def delta_report(lam: BooleanFn) -> DeltaReport:
     """Classify lam by its behaviour on brindled quadruples and on
     2-dimensional planes of its domain.
@@ -479,9 +434,9 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
     matches all-even), which the test suite checks from both sides.
     """
     n = lam.n
-    bits = lam.bits
-    zero_sum = _zero_sum_brindled(lam)
-    total = brindled_count_closed(n)
+    total = _check_brindled(n)
+    shifts = _shifts(lam)
+    zero_sum = total - _odd_cosets(shifts, _brindled_directions(n))
     if zero_sum == total:
         delta = DeltaClass.CONSTANT0
     elif zero_sum == 0 and total > 0:
@@ -489,9 +444,9 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
     else:
         delta = DeltaClass.NOT_CONSTANT
 
-    planes = _two_planes(n)
-    odd = sum(1 for i1, i2, i3, i4 in planes if bits[i1] ^ bits[i2] ^ bits[i3] ^ bits[i4])
-    even = len(planes) - odd
+    # a 2-plane is a coset y + {0, e, f, e ^ f} with e and f single bits
+    odd = _odd_cosets(shifts, [(1 << i, 1 << j, 1 << i | 1 << j) for j in range(n) for i in range(j)])
+    even = (n * (n - 1) // 2 << n >> 2) - odd
     if odd and even:
         parity = PlaneParity.MIXED
     elif odd:

@@ -10,6 +10,7 @@ from lhc import (
     GroupKind,
     LatinHypercube,
     LineRef,
+    PlaneParity,
     Quadruple,
     Transversal,
     TwoLevelComposition,
@@ -119,6 +120,21 @@ def reference_brindled_ints(n: int) -> list:
                 if z4 > z3 and (z1 | z2 | z3 | z4) == full and not (z1 & z2 & z3 & z4):
                     out.append((z1, z2, z3, z4))
     return out
+
+
+def reference_plane_parity(lam: BooleanFn) -> PlaneParity:
+    """delta_report's plane parity from the listed C(n,2)*2^(n-2) index
+    quadruples of the 2-dimensional planes of lam's domain."""
+    n, bits = lam.n, lam.bits
+    sums = set()
+    for p1, p2 in combinations(range(n), 2):
+        b1, b2 = 1 << (n - 1 - p1), 1 << (n - 1 - p2)
+        for base in range(1 << n):
+            if not base & (b1 | b2):
+                sums.add(bits[base] ^ bits[base | b1] ^ bits[base | b2] ^ bits[base | b1 | b2])
+    if sums == {0, 1}:
+        return PlaneParity.MIXED
+    return PlaneParity.ALL_ODD if sums == {1} else PlaneParity.ALL_EVEN
 
 
 def reference_transversals_by_quadruple(cube) -> dict:

@@ -84,6 +84,24 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert rc == 3
 
 
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"LHC 1 2\n\xff 1\n")
+    for argv in (
+        ["validate", str(path)],
+        ["classify", str(path)],
+        ["quadruples", "--lambda-file", str(path)],
+        ["gen", "semilinear", "--lambda-file", str(path)],
+        ["gen", "compose", "--spec", str(path)],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (3, "")
+        assert err == (
+            f"input error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 8: invalid start byte\n"
+        )
+
+
 def test_envelope_exit_code(tmp_path, capsys):
     path = tmp_path / "q7.lhc"
     path.write_text("LHC 1 7\n0 1 2 3 4 5 6\n")
@@ -187,16 +205,23 @@ def test_quadruples_report(capsys):
 
 
 def test_quadruples_above_the_brindled_bound_fails_fast(capsys):
-    tracemalloc.start()
-    try:
-        rc, out, err = run(capsys, "quadruples", "--lambda", "0" * 2**11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 2
-    assert out == ""
-    assert "brindled quadruples" in err
-    assert peak < 1 << 20
+    # the zero-sum count holds 4^n bits of shifted lam (8 MB at arity 13),
+    # so a random lam catches a count that allocates before the bound
+    for n, bits in (
+        (11, "0" * 2**11),
+        (12, _random_bits(12)),
+        (13, _random_bits(13)),
+    ):
+        tracemalloc.start()
+        try:
+            rc, out, err = run(capsys, "quadruples", "--lambda", bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert out == ""
+        assert f"arity {n} has" in err and "brindled quadruples" in err
+        assert peak < 1 << 20
 
 
 def test_classify_above_the_brindled_bound_prints_nothing(tmp_path, capsys, monkeypatch):
@@ -205,7 +230,6 @@ def test_classify_above_the_brindled_bound_prints_nothing(tmp_path, capsys, monk
     path = tmp_path / "s6.lhc"
     run(capsys, "gen", "semilinear", "--lambda", "0" * 64, "-o", str(path))
     monkeypatch.setattr(semilinear, "MAX_BRINDLED", brindled_count_closed(6) - 1)
-    semilinear._brindled_bar_indices.cache_clear()
     rc, out, err = run(capsys, "classify", str(path))
     assert rc == 2
     assert out == ""
@@ -302,9 +326,8 @@ def _random_bits(n: int) -> str:
     return format(random.Random(n).getrandbits(1 << n), f"0{1 << n}b")
 
 
-# Exact text at arities the table-free zero-sum count serves, recorded from
-# the flat pass over the listed quadruples; odd arities (twin quadruples, no
-# criterion line) included.
+# Exact text at arities 7, 9 and 10, recorded from the flat pass over the
+# listed quadruples; odd arities (twin quadruples, no criterion line) included.
 GOLDEN_LARGE = {
     ("quadruples", 7): (
         "arity: 7\ntwin quadruples: 64\nbrindled quadruples: 8736\n"
@@ -342,7 +365,7 @@ def test_large_arity_reports_are_unchanged(tmp_path, capsys, command, n):
 
 def test_quadruples_at_arity_ten_lists_no_quadruples(capsys):
     # listing the 1.9M brindled quadruples of arity 10 took about 190 MB;
-    # the count from lam's faces holds a few MB
+    # the count from second differences of lam holds a few MB
     bits = format(random.Random(2024).getrandbits(1 << 10), "01024b")
     for cached in vars(semilinear).values():  # measure a cold call
         if hasattr(cached, "cache_clear"):

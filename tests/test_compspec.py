@@ -103,6 +103,9 @@ MALFORMED = [
     (f"{OP}\n# c\n(rotate 1)", "expected 'parastrophe' or 'isotopy' clause, got 'rotate'", 3, 2),
     (f"{OP} (parastrophe 0 1", "unexpected end of input", 1, 71),
     (")", "expected '(', got ')'", 1, 1),
+    # an unmatched quote is a token of its own, not skipped
+    (f'(op "{XOR_TABLE}" (var "1) (var 2))', "expected an integer, got '\"'", 1, 44),
+    (f'(op "{XOR_TABLE}" (var 1) (var 2"))', "expected ')', got '\"'", 1, 53),
 ]
 
 

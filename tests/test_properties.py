@@ -1,8 +1,9 @@
 """Property tests: the exact engine against a brute-force oracle and the
 formula counter, on cubes drawn from randgen; the whole-buffer file routines
 and the streamed table builders against their cell-by-cell references; the
-factorization search against the plain subset sweep; the table-free
-zero-sum brindled count against the listed quadruples; the bucketing by
+factorization search against the plain subset sweep; the zero-sum
+brindled count and the plane parity against the listed quadruples and
+planes; the bucketing by
 block quadruple against one Quadruple per transversal; the count's
 invariance under transforms, factorization of two-level splits, and
 lifted transversals verified on the composed cube."""
@@ -27,6 +28,7 @@ from helpers import (
     reference_isotopy,
     reference_iterated_group,
     reference_parastrophe,
+    reference_plane_parity,
     reference_semilinear,
     reference_serialize_lhc,
     reference_transversals_by_quadruple,
@@ -44,6 +46,7 @@ from lhc import (
     compose,
     count_transversals,
     count_transversals_formula,
+    delta_report,
     detect_semilinear,
     enumerate_transversals,
     factor_on_subset,
@@ -71,7 +74,7 @@ from lhc.randgen import (
     random_tree,
     random_two_level,
 )
-from lhc.semilinear import _zero_sum_brindled_faces
+from lhc.semilinear import _zero_sum_brindled
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -305,7 +308,8 @@ def test_factor_on_subset_matches_signature_loop(n, q, how, seed):
 
 
 # ---------------------------------------------------------------------------
-# The table-free zero-sum brindled count against the listed quadruples
+# The zero-sum brindled count and the plane parity against the listed
+# quadruples and planes
 # ---------------------------------------------------------------------------
 
 
@@ -325,13 +329,28 @@ def _zero_sum_by_list(lam):
 @given(n=st.integers(1, 8), seed=seeds)
 def test_table_free_zero_sum_count_matches_the_listed_quadruples(n, seed):
     lam = random_lambda(n, random.Random(seed))
-    assert _zero_sum_brindled_faces(lam) == _zero_sum_by_list(lam)
+    assert _zero_sum_brindled(lam) == _zero_sum_by_list(lam)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_table_free_zero_sum_count_on_fixed_orientations(n):
     for lam in (BooleanFn(n, (0,) * (1 << n)), BooleanFn(n, (1,) * (1 << n)), lambda_z4(n)):
-        assert _zero_sum_brindled_faces(lam) == _zero_sum_by_list(lam)
+        assert _zero_sum_brindled(lam) == _zero_sum_by_list(lam)
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), seed=seeds, pairs=st.booleans(), noise=st.booleans())
+def test_plane_parity_matches_the_listed_planes(n, seed, pairs, noise):
+    # an affine lam has every plane even; adding every x_i x_j makes every
+    # plane odd; random noise on top makes them mixed
+    rng = random.Random(seed)
+    a, noisy = rng.getrandbits(n + 1), random_lambda(n, rng).bits
+    bits = tuple(
+        ((a & y).bit_count() + (a >> n) + pairs * (y.bit_count() * (y.bit_count() - 1) // 2) + noise * noisy[y]) & 1
+        for y in range(1 << n)
+    )
+    lam = BooleanFn(n, bits)
+    assert delta_report(lam).plane_parity is reference_plane_parity(lam)
 
 
 # ---------------------------------------------------------------------------
