@@ -99,8 +99,7 @@ class BinaryOp:
     def from_cube(cls, cube: LatinHypercube) -> "BinaryOp":
         if cube.n != 2:
             raise ValueError(f"expected a binary table, got arity {cube.n}")
-        q = cube.q
-        return cls(q, tuple(tuple(cube.values[r * q : (r + 1) * q]) for r in range(q)))
+        return cls.from_flat(cube.q, cube.values)
 
     def as_cube(self) -> LatinHypercube:
         return LatinHypercube(2, self.q, bytes(v for row in self.table for v in row))

@@ -34,6 +34,9 @@ from .core import (
 USAGE_ERROR = 2
 INPUT_ERROR = 3
 
+# zero_transversal_criterion's answer as the reports print it
+_VERDICT = {True: "no-transversals", False: "has-transversals"}
+
 
 class _InputError(Exception):
     """File-level problem: unreadable, unparsable, or not latin."""
@@ -84,14 +87,6 @@ def _read_lambda(args):
     if getattr(args, "lambda_file", None):
         return parse_lambda(_read_text(args.lambda_file))
     raise ValueError("one of --lambda or --lambda-file is required")
-
-
-def _criterion(n: int, zero_sum: int) -> str:
-    """The zero-transversal verdict of an even arity from the delta report's
-    count, which spares a second pass over the brindled quadruples."""
-    from .semilinear import _formula_count
-
-    return "no-transversals" if _formula_count(n, zero_sum) == 0 else "has-transversals"
 
 
 def _parse_perm_arg(text: str) -> tuple[int, ...]:
@@ -156,7 +151,7 @@ def _cmd_transversals(args) -> int:
 
 def _cmd_classify(args) -> int:
     from .algebra import find_factorization
-    from .semilinear import delta_report, detect_semilinear
+    from .semilinear import delta_report, detect_semilinear, zero_transversal_criterion
 
     cube = _read_cube(args.path)
     # delta_report and find_factorization refuse oversized cubes: run them before printing
@@ -176,7 +171,7 @@ def _cmd_classify(args) -> int:
         print(f"zero-sum brindled quadruples: {rep.zero_sum_brindled_count}")
         print(f"plane parity: {rep.plane_parity.value}")
         if lam.n % 2 == 0:
-            print(f"zero-transversal criterion: {_criterion(lam.n, rep.zero_sum_brindled_count)}")
+            print(f"zero-transversal criterion: {_VERDICT[zero_transversal_criterion(lam)]}")
     if cube.n < 3:
         print("reducible: not applicable (arity >= 3 only)")
     elif fac is None:
@@ -211,7 +206,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_quadruples(args) -> int:
-    from .semilinear import _formula_count, census_recurrence, count_twin, delta_report
+    from .semilinear import census_recurrence, count_transversals_formula, count_twin, delta_report, zero_transversal_criterion
 
     lam = _read_lambda(args)
     n = lam.n
@@ -228,9 +223,9 @@ def _cmd_quadruples(args) -> int:
     print(f"delta class: {rep.delta_class.value}")
     print(f"plane parity: {rep.plane_parity.value}")
     if n >= 2:
-        print(f"formula transversal count: {_formula_count(n, rep.zero_sum_brindled_count)}")
+        print(f"formula transversal count: {count_transversals_formula(lam)}")
     if n >= 2 and n % 2 == 0:
-        print(f"zero-transversal criterion: {_criterion(n, rep.zero_sum_brindled_count)}")
+        print(f"zero-transversal criterion: {_VERDICT[zero_transversal_criterion(lam)]}")
     return 0
 
 

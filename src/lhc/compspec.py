@@ -28,6 +28,7 @@ class _Reader:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.q = None  # the order of the first operation table
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -84,6 +85,10 @@ def _parse_expr(reader):
             op = BinaryOp.from_flat(q, flat)
         except StructuralError as e:
             raise ParseError(str(e), ln, col) from None
+        if reader.q is None:
+            reader.q = q
+        elif q != reader.q:
+            raise ParseError(f"operation table has order {q}, the first one has order {reader.q}", ln, col)
         left = _parse_expr(reader)
         right = _parse_expr(reader)
         reader.expect(")")
@@ -117,7 +122,7 @@ def parse_composition_spec(text: str) -> CompositionSpec:
         raise ParseError(f"leaf labels {sorted(leaves)} are not 1..{n}", tok[1], tok[2])
     if not ops:
         raise ParseError("a composition needs at least one operation node", 1, 1)
-    q = ops[0].q
+    q = reader.q
 
     parastrophe = None
     isotopy = None

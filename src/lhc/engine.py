@@ -105,16 +105,14 @@ def _check_envelope(cube: LatinHypercube) -> None:
         )
 
 
-def _prepare(cube: LatinHypercube) -> list[tuple[list[int], list[int]]]:
-    """Per output symbol, the table indices of its cells and their packed
-    input masks, both in index order."""
+def _prepare(cube: LatinHypercube) -> list[list[int]]:
+    """Per output symbol, the packed input masks of its cells in index order."""
     _check_envelope(cube)
     n, q = cube.n, cube.q
-    masks = list(cell_sums([[1 << (q * i + x) for x in range(q)] for i in range(n)]))
-    indices: list[list[int]] = [[] for _ in range(q)]
-    for idx, a in enumerate(cube.values):
-        indices[a].append(idx)
-    return [(ix, [masks[i] for i in ix]) for ix in indices]
+    classes: list[list[int]] = [[] for _ in range(q)]
+    for a, m in zip(cube.values, cell_sums([[1 << (q * i + x) for x in range(q)] for i in range(n)])):
+        classes[a].append(m)
+    return classes
 
 
 def _full_mask(cube: LatinHypercube) -> int:
@@ -140,7 +138,7 @@ def _charge(stats: SearchStats, tests: int) -> None:
 def _union_counts(classes, stats: SearchStats) -> dict[int, int]:
     """Union mask -> number of picks, one cell per class, pairwise disjoint."""
     table = {0: 1}
-    for _, masks in classes:
+    for masks in classes:
         _charge(stats, len(table) * len(masks))
         nxt: dict[int, int] = {}
         for u, c in table.items():
@@ -201,9 +199,18 @@ def _tail_table(classes, stats: SearchStats) -> dict[int, list[tuple[Cell, ...]]
 
 
 def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
-    inputs = list(product(range(cube.q), repeat=cube.n))
-    classes = [([(a,) + inputs[i] for i in ix], masks) for a, (ix, masks) in enumerate(_prepare(cube))]
+    masks = _prepare(cube)
     depth = max(cube.q - 2, 0)
+    # the tail's levels cost |C| and then |C| * |C'| mask tests: refuse an
+    # oversized tail before any cell tuple is built
+    booked, width = SearchStats(), 1
+    for class_masks in masks[depth:]:
+        width *= len(class_masks)
+        _charge(booked, width)
+    cells: list[list[Cell]] = [[] for _ in masks]
+    for a, x in zip(cube.values, product(range(cube.q), repeat=cube.n)):
+        cells[a].append((a,) + x)
+    classes = list(zip(cells, masks))
     stats = SearchStats()
     tail = _tail_table(classes[depth:], stats)
     full = _full_mask(cube)

@@ -84,28 +84,21 @@ def random_tree(
         raise ValueError(f"a composition tree needs n >= 2, got {n}")
     variables = list(range(1, n + 1))
     rng.shuffle(variables)
+    pinned = leaf_pair_op
 
     def build(vs):
+        nonlocal pinned
         if len(vs) == 1:
             return Leaf(vs[0])
         k = rng.randint(1, len(vs) - 1)
-        return Node(random_binary_op(q, rng), build(vs[:k]), build(vs[k:]))
+        op = random_binary_op(q, rng)
+        # nodes are reached in preorder; the first leaf pair takes the pin
+        # after its own op is drawn, so the RNG stream is the unpinned one
+        if len(vs) == 2 and pinned is not None:
+            op, pinned = pinned, None
+        return Node(op, build(vs[:k]), build(vs[k:]))
 
-    root = build(variables)
-    if leaf_pair_op is not None:
-        root = _replace_leaf_pair_op(root, leaf_pair_op)
-    return CompositionSpec(n, root)
-
-
-def _replace_leaf_pair_op(node, op):
-    if isinstance(node, Leaf):
-        return node
-    if isinstance(node.left, Leaf) and isinstance(node.right, Leaf):
-        return Node(op, node.left, node.right)
-    new_left = _replace_leaf_pair_op(node.left, op)
-    if new_left is not node.left:
-        return Node(node.op, new_left, node.right)
-    return Node(node.op, node.left, _replace_leaf_pair_op(node.right, op))
+    return CompositionSpec(n, build(variables))
 
 
 def random_lambda(n: int, rng: random.Random) -> BooleanFn:

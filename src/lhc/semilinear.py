@@ -210,6 +210,17 @@ def _check_brindled(n: int) -> int:
     return count
 
 
+def _low_submasks(x: int) -> Iterator[int]:
+    """The submasks of x > 0 below its highest bit, in increasing order."""
+    rest = x ^ (1 << (x.bit_length() - 1))
+    w = 0
+    while True:
+        yield w
+        if w == rest:
+            return
+        w = (w - rest) & rest  # the next submask of rest
+
+
 def _brindled_rows(n: int) -> Iterator[tuple[int, int, int, int]]:
     """Yield all brindled quadruples of (n+1)-bit vectors as sorted int
     4-tuples, in lexicographic order; the caller checks the arity against
@@ -230,15 +241,10 @@ def _brindled_rows(n: int) -> Iterator[tuple[int, int, int, int]]:
             d = z1 ^ z2
             base = low ^ (z1 | z2)
             parity = (base.bit_count() + 1) & 1
-            rest = d ^ (1 << (d.bit_length() - 1))
             base |= 1 << n
-            w = 0
-            while True:
+            for w in _low_submasks(d):
                 if w.bit_count() & 1 == parity:
                     yield (z1, z2, base | w, base | w ^ d)
-                if w == rest:
-                    break
-                w = (w - rest) & rest  # next submask of rest, in increasing order
 
 
 def enumerate_brindled(n: int):
@@ -343,15 +349,10 @@ def _brindled_directions(n: int) -> tuple[tuple[int, int, int], ...]:
     full = (1 << n) - 1
     directions = []
     for e in range(1, 1 << (n - 1)):
-        rest = e ^ (1 << (e.bit_length() - 1))
-        w = 0
-        while True:
+        for w in _low_submasks(e):
             f = (full ^ e) | w
             if (e.bit_count() | f.bit_count()) & 1:
                 directions.append((e, f, e ^ f))
-            if w == rest:
-                break
-            w = (w - rest) & rest  # next submask of rest
     return tuple(directions)
 
 
@@ -379,14 +380,8 @@ def count_transversals_formula(lam: BooleanFn) -> int:
     n = lam.n
     if n < 2:
         raise ValueError(f"formula counting needs arity >= 2, got {n}")
-    return _formula_count(n, _zero_sum_brindled(lam))
-
-
-def _formula_count(n: int, zero_sum: int) -> int:
-    """count_transversals_formula from the number of zero-sum brindled
-    quadruples, for callers that hold it already (DeltaReport does)."""
     twin = 8 ** (n - 1) if n % 2 else 0
-    return twin + 2 * 4 ** (n - 1) * zero_sum
+    return twin + 2 * 4 ** (n - 1) * _zero_sum_brindled(lam)
 
 
 def zero_transversal_criterion(lam: BooleanFn) -> bool:
@@ -398,7 +393,7 @@ def zero_transversal_criterion(lam: BooleanFn) -> bool:
     """
     if lam.n % 2:
         raise ValueError("criterion applies to even arity only")
-    return _formula_count(lam.n, _zero_sum_brindled(lam)) == 0
+    return _zero_sum_brindled(lam) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -145,23 +145,15 @@ def _claim_even_group_counts():
 
 
 def _claim_formula_vs_search():
-    mismatches = 0
-    checked = 0
-    for n in (2, 3):
-        for lam in _all_lambdas(n):
-            checked += 1
-            if count_transversals_formula(lam) != count_transversals(gen_semilinear(lam)):
-                mismatches += 1
     rng = random.Random(40804)
-    for _ in range(1000):
-        lam = random_lambda(4, rng)
-        checked += 1
-        if count_transversals_formula(lam) != count_transversals(gen_semilinear(lam)):
-            mismatches += 1
+    lams = [*_all_lambdas(2), *_all_lambdas(3), *(random_lambda(4, rng) for _ in range(1000))]
+    mismatches = sum(
+        count_transversals_formula(lam) != count_transversals(gen_semilinear(lam)) for lam in lams
+    )
     return (
         "0 mismatches over 16 + 256 + 1000 orientation functions",
-        f"{mismatches} mismatches over {checked}",
-        mismatches == 0 and checked == 1272,
+        f"{mismatches} mismatches over {len(lams)}",
+        mismatches == 0 and len(lams) == 1272,
     )
 
 
@@ -353,19 +345,13 @@ def _claim_transform_invariance():
 
 
 def _claim_orientation_diagnostics():
-    ok = True
-    min_zero = None
-    for lam in _all_lambdas(3):
-        rep = delta_report(lam)
-        ok = ok and rep.delta_class is not DeltaClass.CONSTANT1
-        min_zero = (
-            rep.zero_sum_brindled_count
-            if min_zero is None
-            else min(min_zero, rep.zero_sum_brindled_count)
-        )
-        ok = ok and rep.zero_sum_brindled_count >= 2
-        if rep.delta_class is DeltaClass.CONSTANT0:
-            ok = ok and rep.plane_parity is not PlaneParity.MIXED
+    reports = [delta_report(lam) for lam in _all_lambdas(3)]
+    min_zero = min(rep.zero_sum_brindled_count for rep in reports)
+    ok = min_zero >= 2 and all(
+        rep.delta_class is not DeltaClass.CONSTANT1
+        and (rep.delta_class is not DeltaClass.CONSTANT0 or rep.plane_parity is not PlaneParity.MIXED)
+        for rep in reports
+    )
     rng = random.Random(5150)
     n5 = [random_lambda(5, rng) for _ in range(2000)]
     n5 += [lambda_z4(5), lambda_z22(5)]

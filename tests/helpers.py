@@ -19,7 +19,7 @@ from lhc import (
     enumerate_transversals,
     gen_iterated_group,
 )
-from lhc.algebra import Leaf, check_permutation, inverse_permutation
+from lhc.algebra import Leaf, Node, check_permutation, inverse_permutation
 
 # The two binary order-4 squares behind the layered example cubes: L0 has no
 # transversals, Z4ADD is plain cyclic addition.
@@ -257,6 +257,19 @@ def reference_compose(spec):
         node = node.left
     q = ops[0].q
     return LatinHypercube(spec.n, q, bytes(ev(spec.root, x) for x in product(range(q), repeat=spec.n)))
+
+
+def reference_replace_leaf_pair_op(node, op):
+    """The tree with op installed at its first node, in preorder, whose two
+    children are leaves."""
+    if isinstance(node, Leaf):
+        return node
+    if isinstance(node.left, Leaf) and isinstance(node.right, Leaf):
+        return Node(op, node.left, node.right)
+    new_left = reference_replace_leaf_pair_op(node.left, op)
+    if new_left is not node.left:
+        return Node(node.op, new_left, node.right)
+    return Node(node.op, node.left, reference_replace_leaf_pair_op(node.right, op))
 
 
 def reference_two_level(split):

@@ -106,6 +106,9 @@ MALFORMED = [
     # an unmatched quote is a token of its own, not skipped
     (f'(op "{XOR_TABLE}" (var "1) (var 2))', "expected an integer, got '\"'", 1, 44),
     (f'(op "{XOR_TABLE}" (var 1) (var 2"))', "expected ')', got '\"'", 1, 53),
+    # every operation table has the order of the first one
+    ('(op "0 1 1 0" (var 1) (op "0 1 2 1 2 0 2 0 1" (var 2) (var 3)))',
+     "operation table has order 3, the first one has order 2", 1, 27),
 ]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -186,6 +187,20 @@ def test_work_budget_covers_the_depth_first_part(monkeypatch):
         for t in enumerate_transversals(cube):
             got.append(t)
     assert got == stream[: 15 * 16]
+
+
+def test_oversized_tail_is_refused_before_the_cells_are_built():
+    # xor n=8: classes of 16384 cells, so the tail's pair level would test
+    # 16384^2 masks; one tuple per cell would take about 20 MB
+    cube = xor_cube(8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnvelopeError, match="needs at least 268451840$"):
+            next(enumerate_transversals(cube))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_envelope_size_limit():

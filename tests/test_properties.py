@@ -29,6 +29,7 @@ from helpers import (
     reference_iterated_group,
     reference_parastrophe,
     reference_plane_parity,
+    reference_replace_leaf_pair_op,
     reference_semilinear,
     reference_serialize_lhc,
     reference_transversals_by_quadruple,
@@ -37,6 +38,7 @@ from helpers import (
 )
 from lhc import (
     BooleanFn,
+    CompositionSpec,
     GroupKind,
     LatinHypercube,
     ParseError,
@@ -66,6 +68,7 @@ from lhc import (
 )
 from lhc.core import _parse_tokens
 from lhc.randgen import (
+    random_binary_op,
     random_isotopy,
     random_lambda,
     random_parastrophe,
@@ -225,6 +228,17 @@ def test_parastrophe_matches_reference(shape, seed):
 def test_compose_matches_reference(shape, seed):
     spec = random_tree(*shape, random.Random(seed))
     assert compose(spec).values == reference_compose(spec).values
+
+
+@BUILDERS
+@given(n=st.integers(2, 7), q=st.integers(2, 5), seed=seeds)
+def test_pinned_leaf_pair_op_matches_pinning_the_finished_tree(n, q, seed):
+    op = random_binary_op(q, random.Random(seed))
+    pinned_rng, plain_rng = random.Random(seed), random.Random(seed)
+    pinned = random_tree(n, q, pinned_rng, leaf_pair_op=op)
+    plain = random_tree(n, q, plain_rng)
+    assert pinned == CompositionSpec(n, reference_replace_leaf_pair_op(plain.root, op))
+    assert pinned_rng.getstate() == plain_rng.getstate()
 
 
 @BUILDERS
