@@ -82,11 +82,11 @@ def _write_cube(cube: LatinHypercube, out: str | None) -> None:
 def _read_lambda(args):
     from .semilinear import parse_lambda
 
-    if getattr(args, "lambda_bits", None):
+    if (args.lambda_bits is None) == (args.lambda_file is None):
+        raise ValueError("exactly one of --lambda or --lambda-file is required")
+    if args.lambda_bits is not None:
         return parse_lambda(args.lambda_bits)
-    if getattr(args, "lambda_file", None):
-        return parse_lambda(_read_text(args.lambda_file))
-    raise ValueError("one of --lambda or --lambda-file is required")
+    return parse_lambda(_read_text(args.lambda_file))
 
 
 def _parse_perm_arg(text: str) -> tuple[int, ...]:
@@ -190,10 +190,7 @@ def _cmd_apply(args) -> int:
     if args.isotopy:
         isotopy = tuple(_parse_perm_arg(p) for p in args.isotopy)
     parastrophe = _parse_perm_arg(args.parastrophe) if args.parastrophe else None
-    if isotopy is None and parastrophe is None:
-        transformed = cube
-    else:
-        transformed = apply_transform(cube, TransformSpec(isotopy, parastrophe))
+    transformed = apply_transform(cube, TransformSpec(isotopy, parastrophe))
     if args.show_counts:
         from .engine import count_transversals_stats
 

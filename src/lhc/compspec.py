@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 
-from .algebra import BinaryOp, CompositionSpec, Leaf, Node, TransformSpec, _collect
+from .algebra import BinaryOp, CompositionSpec, Leaf, Node, TransformSpec
 from .core import ParseError, StructuralError, _tokens
 
 _TOKEN = re.compile(r"\(|\)|\"[^\"]*\"|[^\s()\"]+|\"")  # a lone " is a token too
@@ -29,6 +29,7 @@ class _Reader:
         self.tokens = tokens
         self.pos = 0
         self.q = None  # the order of the first operation table
+        self.leaves: list[int] = []  # the k of every (var k) read so far
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -70,6 +71,7 @@ def _parse_expr(reader):
         if var < 1:
             raise ParseError(f"variable index must be >= 1, got {var}", head[1], head[2])
         reader.expect(")")
+        reader.leaves.append(var)
         return Leaf(var)
     if head[0] == "op":
         body, ln, col = _parse_quoted(reader, "operation table")
@@ -113,14 +115,12 @@ def parse_composition_spec(text: str) -> CompositionSpec:
         raise ParseError("empty composition spec", 1, 1)
     reader = _Reader(tokens)
     root = _parse_expr(reader)
-    leaves: list[int] = []
-    ops: list[BinaryOp] = []
-    _collect(root, leaves, ops)
+    leaves = sorted(reader.leaves)
     n = len(leaves)
-    if sorted(leaves) != list(range(1, n + 1)):
+    if leaves != list(range(1, n + 1)):
         tok = tokens[0]
-        raise ParseError(f"leaf labels {sorted(leaves)} are not 1..{n}", tok[1], tok[2])
-    if not ops:
+        raise ParseError(f"leaf labels {leaves} are not 1..{n}", tok[1], tok[2])
+    if reader.q is None:
         raise ParseError("a composition needs at least one operation node", 1, 1)
     q = reader.q
 

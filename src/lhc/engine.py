@@ -66,7 +66,6 @@ class SearchStats:
     mask_tests the number of (state, cell) pairs their levels tested."""
 
     nodes_visited: int = 0
-    transversals_found: int = 0
     elapsed: float = 0.0
     mask_tests: int = 0
 
@@ -161,7 +160,6 @@ def count_transversals_stats(cube: LatinHypercube) -> tuple[int, SearchStats]:
     second = _union_counts(classes[half:], stats)
     full = _full_mask(cube)
     found = sum(c * second.get(full ^ u, 0) for u, c in first.items())
-    stats.transversals_found = found
     stats.elapsed = time.perf_counter() - start
     return found, stats
 
@@ -184,11 +182,10 @@ def enumerate_transversals(cube: LatinHypercube, limit: int | None = None) -> It
     return gen if limit is None else islice(gen, limit)
 
 
-def _tail_table(classes, stats: SearchStats) -> dict[int, list[tuple[Cell, ...]]]:
+def _tail_table(classes) -> dict[int, list[tuple[Cell, ...]]]:
     """Union mask -> disjoint picks from one or two classes, in index order."""
     table: dict[int, list[tuple[Cell, ...]]] = {0: [()]}
     for cells, masks in classes:
-        _charge(stats, len(table) * len(masks))
         nxt: dict[int, list[tuple[Cell, ...]]] = {}
         for u, picks in table.items():
             for cell, m in zip(cells, masks):
@@ -201,18 +198,17 @@ def _tail_table(classes, stats: SearchStats) -> dict[int, list[tuple[Cell, ...]]
 def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
     masks = _prepare(cube)
     depth = max(cube.q - 2, 0)
-    # the tail's levels cost |C| and then |C| * |C'| mask tests: refuse an
-    # oversized tail before any cell tuple is built
-    booked, width = SearchStats(), 1
+    # each cell of a class has its own nonzero mask, so the tail's levels cost
+    # |C| and then |C| * |C'| mask tests: book them before any cell tuple is built
+    stats, width = SearchStats(), 1
     for class_masks in masks[depth:]:
         width *= len(class_masks)
-        _charge(booked, width)
+        _charge(stats, width)
     cells: list[list[Cell]] = [[] for _ in masks]
     for a, x in zip(cube.values, product(range(cube.q), repeat=cube.n)):
         cells[a].append((a,) + x)
     classes = list(zip(cells, masks))
-    stats = SearchStats()
-    tail = _tail_table(classes[depth:], stats)
+    tail = _tail_table(classes[depth:])
     full = _full_mask(cube)
 
     def rec(level: int, used: int, chosen: tuple[Cell, ...]):

@@ -188,11 +188,6 @@ def _int_to_vec(v: int, m: int) -> tuple[int, ...]:
     return tuple((v >> (m - 1 - i)) & 1 for i in range(m))
 
 
-@lru_cache(maxsize=None)
-def _even_vectors(m: int) -> tuple[int, ...]:
-    return tuple(v for v in range(1 << m) if v.bit_count() % 2 == 0)
-
-
 # The arity envelope of everything brindled: enumerate_brindled lists
 # brindled_count_closed(n) quadruples, about 6^n/32, 1.9M at arity 10 and
 # 11.3M at arity 11; the zero-sum count (second differences of lam over
@@ -235,7 +230,7 @@ def _brindled_rows(n: int) -> Iterator[tuple[int, int, int, int]]:
     z1 < z2 is expanded as it is reached, so no table is built.
     """
     low = (1 << n) - 1
-    halves = _even_vectors(n)
+    halves = [v for v in range(1 << n) if v.bit_count() % 2 == 0]
     for i, z1 in enumerate(halves):
         for z2 in halves[i + 1 :]:
             d = z1 ^ z2

@@ -61,17 +61,6 @@ from .semilinear import (
 # Frozen from the exact enumerator on the shipped second example cube.
 SECOND_EXAMPLE_GOLDEN_COUNT = 96
 
-# Reported minimum transversal counts over *all* quasigroups of the given
-# arity and order, from exhaustive catalogs computed elsewhere.  They are
-# unverifiable-at-desk-scale documentation, never asserted by any claim.
-EXTERNAL_CENSUS_MINIMA = {
-    (3, 5): 859,
-    (3, 6): 7632,
-    (4, 5): 60843,
-    (5, 5): 8096923,
-}
-
-
 @dataclass
 class ClaimResult:
     claim_id: str
@@ -440,20 +429,12 @@ def format_report(results: list[ClaimResult]) -> str:
             lines.append(
                 f"{r.claim_id} | {r.subject} | {r.expected} | {r.got} | {verdict} | {r.millis:.0f}"
             )
-    lines.append("")
-    lines.append("# documentation only, unverifiable-at-desk-scale external census minima:")
-    for (n, q), v in sorted(EXTERNAL_CENSUS_MINIMA.items()):
-        lines.append(f"#   minimum over all arity-{n} order-{q} quasigroups: {v}")
     return "\n".join(lines) + "\n"
 
 
 def sidecar_payload(results: list[ClaimResult]) -> dict:
     return {
         "claims": [asdict(r) for r in results],
-        "external_census_minima": [
-            {"arity": n, "order": q, "minimum": v, "status": "unverifiable-at-desk-scale"}
-            for (n, q), v in sorted(EXTERNAL_CENSUS_MINIMA.items())
-        ],
         "all_passed": all(r.passed for r in results if not r.skipped),
         "provenance": _provenance(),
     }

@@ -49,6 +49,18 @@ def test_gen_semilinear_requires_lambda(capsys):
     assert "lambda" in err
 
 
+@pytest.mark.parametrize("command", [["quadruples"], ["gen", "semilinear"]], ids=" ".join)
+def test_lambda_needs_exactly_one_source(tmp_path, capsys, command):
+    path = tmp_path / "l.txt"
+    path.write_text("1111\n")
+    rc, out, err = run(capsys, *command, "--lambda", "0000", "--lambda-file", str(path))
+    assert (rc, out) == (2, "")
+    assert "exactly one of --lambda or --lambda-file" in err
+    rc, out, err = run(capsys, *command, "--lambda", "")
+    assert (rc, out) == (3, "")
+    assert "empty orientation function" in err
+
+
 def test_gen_compose_from_spec(tmp_path, capsys):
     spec = tmp_path / "tree.sexp"
     spec.write_text('(op "0 1 2 3 1 0 3 2 2 3 0 1 3 2 1 0" (var 1) (var 2))\n')
@@ -394,7 +406,7 @@ def test_verify_subset(tmp_path, capsys):
     payload = json.loads(sidecar.read_text())
     assert payload["all_passed"] is True
     assert {c["claim_id"] for c in payload["claims"]} == {"C01", "C05"}
-    assert set(payload) == {"claims", "external_census_minima", "all_passed", "provenance"}
+    assert set(payload) == {"claims", "all_passed", "provenance"}
     prov = payload["provenance"]
     assert prov["lhc"] == lhc.__version__
     assert prov["python"] == platform.python_version()

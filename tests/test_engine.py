@@ -141,8 +141,8 @@ def test_determinism():
     cube = load_fixture(EXAMPLE_CUBE_2)
     c1, s1 = count_transversals_stats(cube)
     c2, s2 = count_transversals_stats(cube)
-    assert (c1, s1.nodes_visited, s1.transversals_found) == (c2, s2.nodes_visited, s2.transversals_found)
-    assert s1.transversals_found == c1 == 96
+    assert (c1, s1.nodes_visited) == (c2, s2.nodes_visited)
+    assert c1 == c2 == 96
     assert s1.nodes_visited > 0
     assert list(enumerate_transversals(cube)) == list(enumerate_transversals(cube))
 
@@ -187,6 +187,22 @@ def test_work_budget_covers_the_depth_first_part(monkeypatch):
         for t in enumerate_transversals(cube):
             got.append(t)
     assert got == stream[: 15 * 16]
+
+
+def test_list_mode_books_each_level_once_on_one_stats(monkeypatch):
+    # xor n=2: the tail's levels cost |C| = 4 and 4 * 4 = 16 mask tests, then
+    # the depth-first part tests 4 at its root and 4 at each of its 4 picks
+    booked = []
+    charge = engine._charge
+
+    def logged(stats, tests):
+        booked.append((id(stats), tests))
+        charge(stats, tests)
+
+    monkeypatch.setattr(engine, "_charge", logged)
+    assert len(list(enumerate_transversals(xor_cube(2)))) == 8
+    assert [tests for _, tests in booked] == [4, 16, 4, 4, 4, 4, 4]
+    assert len({key for key, _ in booked}) == 1
 
 
 def test_oversized_tail_is_refused_before_the_cells_are_built():
