@@ -9,12 +9,13 @@
     lhc verify [--claim ID ...]               replay the claim suite
 
 Exit codes: 0 success, 1 failed check or claim, 2 usage error, 3 malformed
-input file.
+input file, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -137,6 +138,8 @@ def _cmd_validate(args) -> int:
 def _cmd_transversals(args) -> int:
     from .engine import count_transversals_stats, enumerate_transversals
 
+    if args.limit is not None and args.mode != "list":
+        raise ValueError("--limit applies only to --mode list")
     cube = _read_cube(args.path)
     if args.mode == "count":
         count, stats = count_transversals_stats(cube)
@@ -309,7 +312,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader stopped early (`lhc ... | head`): the flush at exit
+        # would fail again, so it goes to devnull; 141 is 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, StructuralError, _InputError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR

@@ -18,9 +18,19 @@ full ^ u, and the count is the sum of A[u] * B[full ^ u].
 Enumeration is a depth-first search over the classes 0..q-3 in table-index
 order, testing masks directly; each node books its class size against the
 same work budget as the tables.  The last two classes come from a table that
-maps each union mask to its disjoint cell pairs in index order, looked up
-at full ^ (mask used so far).  The stream is lexicographic in the
+maps each union mask to its disjoint cell pairs in index order; the last
+depth-first level looks it up at full ^ (mask used so far) for each cell it
+accepts, without a node of its own.  The stream is lexicographic in the
 flattened, x0-sorted cell list and bitwise reproducible between runs.
+
+Bucketing an order-4 cube's transversals by block quadruple lists none of
+them.  Each cell's mask carries its pair-indicator image (x0>>1, .., xn>>1)
+above the mask bits, in one of two slots, so the half tables count picks by
+union and images together and still test only masks.  A first-half state
+and a second-half state of complementary unions contribute the product of
+their counts to the bucket of their four images.  A table inserts a state
+at its smallest pick, so walking both tables in insertion order reaches
+each bucket first at its first transversal in the enumeration stream.
 """
 
 from __future__ import annotations
@@ -212,17 +222,26 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
     full = _full_mask(cube)
 
     def rec(level: int, used: int, chosen: tuple[Cell, ...]):
-        if level == depth:
-            for pick in tail.get(full ^ used, ()):
-                yield Transversal(chosen + pick)
-            return
         cells, masks = classes[level]
         _charge(stats, len(masks))
+        if level < depth - 1:
+            for cell, m in zip(cells, masks):
+                if not used & m:
+                    yield from rec(level + 1, used | m, chosen + (cell,))
+            return
+        # the last depth-first level reads the tail itself
+        rest = full ^ used
         for cell, m in zip(cells, masks):
-            if not used & m:
-                yield from rec(level + 1, used | m, chosen + (cell,))
+            if not used & m and rest ^ m in tail:
+                head = chosen + (cell,)
+                for pick in tail[rest ^ m]:
+                    yield Transversal(head + pick)
 
-    yield from rec(0, 0, ())
+    if depth:
+        yield from rec(0, 0, ())
+    else:
+        for pick in tail.get(full, ()):
+            yield Transversal(pick)
 
 
 # ---------------------------------------------------------------------------
@@ -232,28 +251,42 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
 
 def transversals_by_quadruple(cube: LatinHypercube) -> dict[Quadruple, int]:
     """Bucket every transversal of a standardly semilinear cube by the
-    quadruple of pair-indicator images of its four cells."""
+    quadruple of pair-indicator images of its four cells, the buckets in
+    the order the enumerator first reaches them."""
     from .semilinear import Quadruple, _int_to_vec, detect_semilinear
 
     if cube.q != 4:
         raise UnsupportedOrderError(f"quadruple bucketing needs order 4, got q={cube.q}")
     if detect_semilinear(cube) is None:
         raise ValueError("cube is not standardly semilinear")
-    # A cell's pair-indicator image packed into an int, position 0 the top
-    # bit, so sorted ints are the sorted vectors of Quadruple.of
-    packed: dict[Cell, int] = {}
-    counts: dict[tuple[int, ...], int] = {}
-    for t in enumerate_transversals(cube):
-        ints = []
-        for cell in t.cells:
-            v = packed.get(cell)
-            if v is None:
-                v = 0
-                for x in cell:
-                    v = v << 1 | x >> 1
-                packed[cell] = v
-            ints.append(v)
-        key = tuple(sorted(ints))
-        counts[key] = counts.get(key, 0) + 1
-    m = cube.n + 1
-    return {Quadruple(tuple(_int_to_vec(v, m) for v in key)): c for key, c in counts.items()}
+    n, m = cube.n, cube.n + 1
+    low, shift = (1 << m) - 1, 4 * n
+    masks = _prepare(cube)
+    # a cell's image (x0>>1, .., xn>>1), position 0 the top bit, sits above
+    # the mask bits in slot a % 2 of its half, so u & mask still tests masks
+    images: list[list[int]] = [[] for _ in masks]
+    for a, v in zip(cube.values, cell_sums([[(x >> 1) << (n - 1 - i) for x in range(4)] for i in range(n)])):
+        images[a].append(((a >> 1) << n | v) << (shift + m * (a & 1)))
+    classes = [[mk | v for mk, v in zip(ms, vs)] for ms, vs in zip(masks, images)]
+    stats, full = SearchStats(), _full_mask(cube)
+
+    def pair(s: int) -> int:
+        """The two images of a half state, the larger in the high slot."""
+        lo, hi = s >> shift & low, s >> shift + m
+        return hi << m | lo if lo <= hi else lo << m | hi
+
+    # union -> {image pair of the second half, shifted above the first: picks}
+    by_union: dict[int, dict[int, int]] = {}
+    for s, c in _union_counts(classes[2:], stats).items():
+        group = by_union.setdefault(s & full, {})
+        key = pair(s) << 2 * m
+        group[key] = group.get(key, 0) + c
+    # the images of the first half have position 0 clear, so a key lists
+    # the sorted quadruple from its low bits up
+    counts: dict[int, int] = {}
+    for s, c in _union_counts(classes[:2], stats).items():
+        head = pair(s)
+        for tail, c2 in by_union.get(full ^ s & full, {}).items():
+            key = head | tail
+            counts[key] = counts.get(key, 0) + c * c2
+    return {Quadruple(tuple(_int_to_vec(k >> m * j & low, m) for j in range(4))): c for k, c in counts.items()}

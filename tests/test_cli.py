@@ -138,6 +138,27 @@ def test_transversals_list_limit(tmp_path, capsys):
     assert lines[0].startswith("(0,")
 
 
+def test_limit_outside_list_mode_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "q2.lhc"
+    run(capsys, "gen", "iterated", "--group", "z22", "--n", "2", "--q", "4", "-o", str(path))
+    for argv in (["--limit", "3"], ["--mode", "count", "--limit", "0"]):
+        assert run(capsys, "transversals", str(path), *argv) == (2, "", "error: --limit applies only to --mode list\n")
+
+
+def test_list_into_a_closed_pipe_exits_141_quietly(tmp_path, capsys):
+    # z22 n=5 lists 126,976 lines, far more than a pipe buffer holds, so the
+    # command is still writing when its reader closes the pipe after one line
+    path = tmp_path / "x5.lhc"
+    run(capsys, "gen", "iterated", "--group", "z22", "--n", "5", "--q", "4", "-o", str(path))
+    env = {**os.environ, "PYTHONPATH": str(Path(lhc.__file__).resolve().parent.parent)}
+    argv = [sys.executable, "-c", "from lhc.cli import entry; entry()", "transversals", str(path), "--mode", "list"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"(0,0,0,0,0,0) (1,1,1,1,1,1) (2,2,2,2,2,2) (3,3,3,3,3,3)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
 def test_classify_iterated_xor(tmp_path, capsys):
     path = tmp_path / "q3.lhc"
     run(capsys, "gen", "iterated", "--group", "z22", "--n", "3", "--q", "4", "-o", str(path))

@@ -17,6 +17,7 @@ from lhc import (
     UnsupportedOrderError,
     classify_quadruple,
     count_transversals,
+    count_transversals_formula,
     count_transversals_stats,
     count_twin,
     engine,
@@ -129,6 +130,9 @@ PINNED_STREAMS = [
     ("order 1", lambda: LatinHypercube(3, 1, bytes(1)), 1, "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
     ("order 2 n=3", lambda: cyclic_cube(3, 2), 4, "07818b8b8cd9e9249e2d61bc57336e24a776430fa169fb438e5d338c15039d87"),
     ("order 2 n=4", lambda: cyclic_cube(4, 2), 0, hashlib.sha256().hexdigest()),
+    # one depth-first level (q=3) and four (q=6) ahead of the tail
+    ("random q=3 n=5", lambda: random_quasigroup(5, 3, random.Random(2016)), 891, "44c38436e96724fa0fcd4d6b1e4ca251d7176986e12027160c798d87fbb48ad2"),
+    ("random q=6 n=3", lambda: random_quasigroup(3, 6, random.Random(2016)), 31680, "772bc24d0989f1826bdb2b56ac22636b55e6924d4c364b94758b94dc0ae325a7"),
 ]
 
 
@@ -263,3 +267,19 @@ def test_brindled_bucket_sizes_are_all_or_nothing():
         for key, v in buckets.items():
             if classify_quadruple(key) is QuadrupleClass.BRINDLED:
                 assert v == 2 * 4**2
+
+
+def test_buckets_at_arity_six_hold_the_closed_form():
+    lam = random_lambda(6, random.Random(6))
+    buckets = transversals_by_quadruple(gen_semilinear(lam))
+    assert sum(buckets.values()) == count_transversals_formula(lam)
+    assert {classify_quadruple(key) for key in buckets} == {QuadrupleClass.BRINDLED}
+    assert set(buckets.values()) == {2 * 4**5}
+
+
+def test_buckets_at_arity_eight_are_refused_by_the_work_budget():
+    # classes of 16384 cells: the second level of a half table would test
+    # 16384^2 = 2^28 masks
+    cube = gen_semilinear(random_lambda(8, random.Random(8)))
+    with pytest.raises(EnvelopeError, match="needs at least 268451840$"):
+        transversals_by_quadruple(cube)
