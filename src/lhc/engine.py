@@ -13,15 +13,23 @@ for the rest (table B), a table maps each union mask to the number of
 disjoint picks with that union.  A first-half pick with union u and a
 second-half pick with union w form a transversal exactly when u and w are
 disjoint.  w then lies inside full ^ u and has as many bits, so w equals
-full ^ u, and the count is the sum of A[u] * B[full ^ u].
+full ^ u, and the count is the sum of A[u] * B[full ^ u].  Where it pays, a
+level keys its states on their values in the first k coordinates and scans
+for each state only the class's cells that miss that key, filtered once per
+key in index order, so the tables fill in the same order as from whole
+classes; each level still books len(table) * len(class) mask tests.
 
 Enumeration is a depth-first search over the classes 0..q-3 in table-index
-order, testing masks directly; each node books its class size against the
-same work budget as the tables.  The last two classes come from a table that
-maps each union mask to its disjoint cell pairs in index order; the last
-depth-first level looks it up at full ^ (mask used so far) for each cell it
-accepts, without a node of its own.  The stream is lexicographic in the
-flattened, x0-sorted cell list and bitwise reproducible between runs.
+order with forward checking: each node hands its children, for every
+deeper depth-first class, the masks that miss its pick, and books its class
+size against the same work budget as the tables before anything is
+filtered for it.  The last two classes come from a table that maps each
+union mask to its disjoint cell pairs in index order.  A node on the last
+depth-first level gets no list or frame of its own: it walks its parent's
+list for its class, skips the masks that meet its pick and looks each other
+one up in that table at full ^ (mask used so far).  One generator frame
+yields every transversal.  The stream is lexicographic in the flattened,
+x0-sorted cell list and bitwise reproducible between runs.
 
 Bucketing an order-4 cube's transversals by block quadruple lists none of
 them.  Each cell's mask carries its pair-indicator image (x0>>1, .., xn>>1)
@@ -38,6 +46,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice, product
+from math import comb
 from typing import TYPE_CHECKING, Iterator
 
 from .core import (
@@ -58,7 +67,7 @@ ENVELOPE_MAX_ORDER = 6
 MAX_MASK_TESTS = 1 << 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transversal:
     """q graph cells, sorted by x0, pairwise distinct in every coordinate."""
 
@@ -73,7 +82,9 @@ class Transversal:
 class SearchStats:
     """What a count cost: nodes_visited is the number of partial states (union
     masks) the two half tables hold, summed over their levels, and
-    mask_tests the number of (state, cell) pairs their levels tested."""
+    mask_tests the booked budget, len(table) * len(class) per level: an
+    upper bound on the (state, cell) pairs tested, since a keyed level tests
+    only the cells left after its key."""
 
     nodes_visited: int = 0
     elapsed: float = 0.0
@@ -144,14 +155,45 @@ def _charge(stats: SearchStats, tests: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _union_counts(classes, stats: SearchStats) -> dict[int, int]:
-    """Union mask -> number of picks, one cell per class, pairwise disjoint."""
+def _key_width(states: int, size: int, picked: int, q: int, n: int) -> int:
+    """The number k of coordinates a level keys its candidate lists on.  Every
+    state holds `picked` of the q values of each coordinate, so there are at
+    most min(states, C(q, picked)^k) keys to filter the class for, and below
+    k = n a latin class projects evenly, so each state scans size * ((q -
+    picked) / q)^k cells.  k grows while that total keeps falling, from
+    states * size unkeyed; its first step pays exactly when states * picked
+    > q * C(q, picked)."""
+    keys = comb(q, picked)
+    if states * picked <= q * keys:
+        return 0
+    k, best = 0, states * size
+    while k < n - 1:
+        cost = min(states, keys ** (k + 1)) * size + states * size * ((q - picked) / q) ** (k + 1)
+        if cost >= best:
+            break
+        k, best = k + 1, cost
+    return k
+
+
+def _union_counts(classes, stats: SearchStats, q: int, n: int) -> dict[int, int]:
+    """Union mask -> number of picks, one cell per class, pairwise disjoint.
+    A state scans only the cells that miss its values on the first k
+    coordinates, from one list per key, filtered in index order, so the
+    picks reach the next table in the same order as from the whole class."""
     table = {0: 1}
-    for masks in classes:
+    for picked, masks in enumerate(classes):
         _charge(stats, len(table) * len(masks))
+        k = _key_width(len(table), len(masks), picked, q, n) if picked else 0
+        low, cand = (1 << q * k) - 1, masks
         nxt: dict[int, int] = {}
+        lists: dict[int, list[int]] = {}
         for u, c in table.items():
-            for m in masks:
+            if low:
+                key = u & low
+                cand = lists.get(key)
+                if cand is None:
+                    cand = lists[key] = [m for m in masks if not m & key]
+            for m in cand:
                 if not u & m:
                     v = u | m
                     nxt[v] = nxt.get(v, 0) + c
@@ -166,8 +208,8 @@ def count_transversals_stats(cube: LatinHypercube) -> tuple[int, SearchStats]:
     classes = _prepare(cube)
     stats = SearchStats()
     half = cube.q // 2
-    first = _union_counts(classes[:half], stats)
-    second = _union_counts(classes[half:], stats)
+    first = _union_counts(classes[:half], stats, cube.q, cube.n)
+    second = _union_counts(classes[half:], stats, cube.q, cube.n)
     full = _full_mask(cube)
     found = sum(c * second.get(full ^ u, 0) for u, c in first.items())
     stats.elapsed = time.perf_counter() - start
@@ -217,31 +259,54 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
     cells: list[list[Cell]] = [[] for _ in masks]
     for a, x in zip(cube.values, product(range(cube.q), repeat=cube.n)):
         cells[a].append((a,) + x)
-    classes = list(zip(cells, masks))
-    tail = _tail_table(classes[depth:])
+    tail = _tail_table(zip(cells[depth:], masks[depth:]))
     full = _full_mask(cube)
-
-    def rec(level: int, used: int, chosen: tuple[Cell, ...]):
-        cells, masks = classes[level]
-        _charge(stats, len(masks))
-        if level < depth - 1:
-            for cell, m in zip(cells, masks):
-                if not used & m:
-                    yield from rec(level + 1, used | m, chosen + (cell,))
-            return
-        # the last depth-first level reads the tail itself
-        rest = full ^ used
-        for cell, m in zip(cells, masks):
-            if not used & m and rest ^ m in tail:
-                head = chosen + (cell,)
-                for pick in tail[rest ^ m]:
-                    yield Transversal(head + pick)
-
-    if depth:
-        yield from rec(0, 0, ())
-    else:
+    if not depth:
         for pick in tail.get(full, ()):
             yield Transversal(pick)
+        return
+    _charge(stats, len(masks[0]))
+    if depth == 1:
+        for cell, m in zip(cells[0], masks[0]):
+            for pick in tail.get(full ^ m, ()):
+                yield Transversal((cell,) + pick)
+        return
+    cell_of = [dict(zip(ms, cs)) for ms, cs in zip(masks[:depth], cells)]
+    last, last_size = cell_of[-1], len(masks[depth - 1])
+    # a node: the mask and cells picked so far, and for its own level and each
+    # deeper depth-first level the masks that miss them, in index order; it
+    # books its class in full before anything is filtered for its children
+    used, head, lists = 0, (), masks[:depth]
+    frames = []  # per open level above the node: its picks left, used, head, deeper lists
+    while True:
+        if len(lists) > 2:
+            frames.append((iter(lists[0]), used, head, lists[1:]))
+        else:
+            # the children are on the last depth-first level: each books its
+            # class, then looks up in the tail each mask left that misses its pick
+            here, ahead = cell_of[depth - 2], lists[1]
+            for m in lists[0]:
+                _charge(stats, last_size)
+                rest, chosen = full ^ used ^ m, head + (here[m],)
+                for x in ahead:
+                    if not x & m:
+                        picks = tail.get(rest ^ x)
+                        if picks:
+                            at = chosen + (last[x],)
+                            for pick in picks:
+                                yield Transversal(at + pick)
+        while frames:
+            left, used, head, lists = frames[-1]
+            m = next(left, None)
+            if m is not None:
+                break
+            frames.pop()
+        else:
+            return
+        level = depth - len(lists)
+        _charge(stats, len(masks[level]))
+        used, head = used | m, head + (cell_of[level - 1][m],)
+        lists = [[x for x in deeper if not x & m] for deeper in lists]
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +342,14 @@ def transversals_by_quadruple(cube: LatinHypercube) -> dict[Quadruple, int]:
 
     # union -> {image pair of the second half, shifted above the first: picks}
     by_union: dict[int, dict[int, int]] = {}
-    for s, c in _union_counts(classes[2:], stats).items():
+    for s, c in _union_counts(classes[2:], stats, 4, n).items():
         group = by_union.setdefault(s & full, {})
         key = pair(s) << 2 * m
         group[key] = group.get(key, 0) + c
     # the images of the first half have position 0 clear, so a key lists
     # the sorted quadruple from its low bits up
     counts: dict[int, int] = {}
-    for s, c in _union_counts(classes[:2], stats).items():
+    for s, c in _union_counts(classes[:2], stats, 4, n).items():
         head = pair(s)
         for tail, c2 in by_union.get(full ^ s & full, {}).items():
             key = head | tail

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
+import pickle
 import random
 import tracemalloc
 
@@ -16,6 +19,7 @@ from lhc import (
     Transversal,
     UnsupportedOrderError,
     classify_quadruple,
+    compose,
     count_transversals,
     count_transversals_formula,
     count_transversals_stats,
@@ -29,7 +33,7 @@ from lhc import (
     verify_transversal,
 )
 from lhc.fixtures import EXAMPLE_CUBE_2, load_fixture
-from lhc.randgen import random_lambda, random_quasigroup
+from lhc.randgen import random_lambda, random_quasigroup, random_tree
 
 
 def test_verify_single_cell_order_one():
@@ -41,6 +45,19 @@ def test_verify_diagonal_of_cyclic_square():
     sq = addition_square(3).as_cube()
     diag = Transversal.of([((2 * i) % 3, i, i) for i in range(3)])
     assert verify_transversal(sq, diag)
+
+
+def test_transversal_is_a_frozen_slotted_value():
+    t = Transversal.of([(1, 1, 0), (0, 0, 1)])
+    for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert copied == t and hash(copied) == hash(t)
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.cells = ()
+    # refused; CPython 3.11 raises TypeError from the frozen __setattr__, whose
+    # super() call names the class as it was before slots were added
+    with pytest.raises((TypeError, AttributeError)):
+        t.extra = 1
 
 
 def test_verify_rejects_shared_coordinate():
@@ -157,11 +174,24 @@ def test_envelope_order_limit():
         count_transversals(cube)
 
 
-def test_mask_tests_are_counted_per_level():
-    # xor n=3: classes of 16 cells, and each half table has 16 states after
-    # its first level, so each half tests 16 + 16 * 16 masks
-    _, stats = count_transversals_stats(xor_cube(3))
-    assert stats.mask_tests == 2 * (16 + 16 * 16)
+# (count, nodes_visited, mask_tests), recorded from an implementation whose
+# levels tested whole classes: a keyed level scans fewer cells but books the
+# same budget and holds the same states
+PINNED_SEARCH_STATS = [
+    # classes of 16 cells, and each half table has 16 states after its first
+    # level, so each half tests 16 + 16 * 16 masks
+    ("xor n=3", lambda: xor_cube(3), (256, 136, 2 * (16 + 16 * 16))),
+    ("cyclic q=5 n=4", lambda: cyclic_cube(4, 5), (321375, 6250, 281500)),
+    ("cyclic q=3 n=7", lambda: cyclic_cube(7, 3), (31347, 2187, 532899)),
+    ("xor n=6", lambda: xor_cube(6), (2981888, 25344, 2099200)),
+    ("tree q=5 n=4", lambda: compose(random_tree(4, 5, random.Random(2016))), (85375, 18300, 546500)),
+]
+
+
+@pytest.mark.parametrize("make,want", [p[1:] for p in PINNED_SEARCH_STATS], ids=[p[0] for p in PINNED_SEARCH_STATS])
+def test_mask_tests_are_counted_per_level(make, want):
+    count, stats = count_transversals_stats(make())
+    assert (count, stats.nodes_visited, stats.mask_tests) == want
 
 
 def test_work_budget_refuses_the_level_that_would_pass_it(monkeypatch):
@@ -193,9 +223,20 @@ def test_work_budget_covers_the_depth_first_part(monkeypatch):
     assert got == stream[: 15 * 16]
 
 
-def test_list_mode_books_each_level_once_on_one_stats(monkeypatch):
-    # xor n=2: the tail's levels cost |C| = 4 and 4 * 4 = 16 mask tests, then
-    # the depth-first part tests 4 at its root and 4 at each of its 4 picks
+# (transversals, bookings, their total) of list mode.  The tail's levels
+# cost |C| and |C| * |C'| mask tests, then each depth-first node books its
+# class: xor n=2 tests 4 + 16, then 4 at its root and 4 at each of its 4
+# picks.  Orders 5 and 6 nest three and four depth-first levels; their
+# figures were recorded from an implementation without forward checking.
+PINNED_BOOKINGS = [
+    ("xor n=2", lambda: xor_cube(2), 8, 7, 40),
+    ("cyclic q=5 n=3", lambda: cyclic_cube(3, 5), 3325, 353, 9425),
+    ("random q=6 n=3", lambda: random_quasigroup(3, 6, random.Random(2016)), 31680, 9003, 325368),
+]
+
+
+@pytest.mark.parametrize("make,count,bookings,total", [p[1:] for p in PINNED_BOOKINGS], ids=[p[0] for p in PINNED_BOOKINGS])
+def test_list_mode_books_each_level_once_on_one_stats(monkeypatch, make, count, bookings, total):
     booked = []
     charge = engine._charge
 
@@ -204,8 +245,11 @@ def test_list_mode_books_each_level_once_on_one_stats(monkeypatch):
         charge(stats, tests)
 
     monkeypatch.setattr(engine, "_charge", logged)
-    assert len(list(enumerate_transversals(xor_cube(2)))) == 8
-    assert [tests for _, tests in booked] == [4, 16, 4, 4, 4, 4, 4]
+    cube = make()
+    assert sum(1 for _ in enumerate_transversals(cube)) == count
+    size = cube.q ** (cube.n - 1)
+    assert [tests for _, tests in booked] == [size, size * size] + [size] * (bookings - 2)
+    assert sum(tests for _, tests in booked) == total
     assert len({key for key, _ in booked}) == 1
 
 

@@ -1,5 +1,6 @@
 """Property tests: the exact engine against a brute-force oracle and the
-formula counter, on cubes drawn from randgen; the whole-buffer file routines
+formula counter, on cubes drawn from randgen (among them shapes where the
+half tables key their levels); the whole-buffer file routines
 and the streamed table builders against their cell-by-cell references; the
 factorization search against the plain subset sweep; the zero-sum
 brindled count and the plane parity against the listed quadruples and
@@ -104,6 +105,19 @@ def test_every_enumerated_transversal_verifies(n, q, seed):
     listed = list(enumerate_transversals(cube))
     assert count_transversals(cube) == len(listed)
     assert all(verify_transversal(cube, t) for t in listed)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(shape=st.sampled_from([(3, 4), (3, 5), (4, 4), (5, 3), (6, 3)]), seed=seeds)
+def test_keyed_levels_agree_with_the_stream_and_a_transform(shape, seed):
+    # shapes where some level of the half tables keys its candidate lists
+    # and, from order 5, the enumerator nests forward-checked levels
+    q, n = shape
+    rng = random.Random(seed)
+    cube = random_quasigroup(n, q, rng)
+    count = count_transversals(cube)
+    assert sum(1 for _ in enumerate_transversals(cube)) == count
+    assert count_transversals(apply_transform(cube, random_transform(n, q, rng))) == count
 
 
 @settings(max_examples=30, deadline=None, database=None)
