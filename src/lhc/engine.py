@@ -24,12 +24,15 @@ order with forward checking: each node hands its children, for every
 deeper depth-first class, the masks that miss its pick, and books its class
 size against the same work budget as the tables before anything is
 filtered for it.  The last two classes come from a table that maps each
-union mask to its disjoint cell pairs in index order.  A node on the last
-depth-first level gets no list or frame of its own: it walks its parent's
-list for its class, skips the masks that meet its pick and looks each other
-one up in that table at full ^ (mask used so far).  One generator frame
-yields every transversal.  The stream is lexicographic in the flattened,
-x0-sorted cell list and bitwise reproducible between runs.
+union mask to its disjoint cell pairs in index order, built by one loop
+over the pairs of the two classes (one class alone maps each mask to its
+cell).  A node on the last depth-first level gets no list or frame of its
+own: it walks its parent's list for its class, skips the masks that meet
+its pick and looks each other one up in that table at full ^ (mask used so
+far).  One generator frame yields every transversal, each a Transversal
+whose slot is filled directly rather than through the frozen __init__.
+The stream is lexicographic in the flattened, x0-sorted cell list and
+bitwise reproducible between runs.
 
 Bucketing an order-4 cube's transversals by block quadruple lists none of
 them.  Each cell's mask carries its pair-indicator image (x0>>1, .., xn>>1)
@@ -84,11 +87,15 @@ class SearchStats:
     masks) the two half tables hold, summed over their levels, and
     mask_tests the booked budget, len(table) * len(class) per level: an
     upper bound on the (state, cell) pairs tested, since a keyed level tests
-    only the cells left after its key."""
+    only the cells left after its key.  elapsed is the whole call in
+    seconds, prepare_ms its search preparation and search_ms the half tables
+    and their join, both in milliseconds."""
 
     nodes_visited: int = 0
     elapsed: float = 0.0
     mask_tests: int = 0
+    prepare_ms: float = 0.0
+    search_ms: float = 0.0
 
 
 def verify_transversal(cube: LatinHypercube, t: Transversal) -> bool:
@@ -206,13 +213,17 @@ def count_transversals_stats(cube: LatinHypercube) -> tuple[int, SearchStats]:
     """Exact transversal count with search statistics."""
     start = time.perf_counter()
     classes = _prepare(cube)
+    prepared = time.perf_counter()
     stats = SearchStats()
     half = cube.q // 2
     first = _union_counts(classes[:half], stats, cube.q, cube.n)
     second = _union_counts(classes[half:], stats, cube.q, cube.n)
     full = _full_mask(cube)
     found = sum(c * second.get(full ^ u, 0) for u, c in first.items())
-    stats.elapsed = time.perf_counter() - start
+    end = time.perf_counter()
+    stats.elapsed = end - start
+    stats.prepare_ms = (prepared - start) * 1e3
+    stats.search_ms = (end - prepared) * 1e3
     return found, stats
 
 
@@ -234,16 +245,22 @@ def enumerate_transversals(cube: LatinHypercube, limit: int | None = None) -> It
     return gen if limit is None else islice(gen, limit)
 
 
-def _tail_table(classes) -> dict[int, list[tuple[Cell, ...]]]:
-    """Union mask -> disjoint picks from one or two classes, in index order."""
-    table: dict[int, list[tuple[Cell, ...]]] = {0: [()]}
-    for cells, masks in classes:
-        nxt: dict[int, list[tuple[Cell, ...]]] = {}
-        for u, picks in table.items():
-            for cell, m in zip(cells, masks):
-                if not u & m:
-                    nxt.setdefault(u | m, []).extend(p + (cell,) for p in picks)
-        table = nxt
+def _tail_table(cells, masks) -> dict[int, list[tuple[Cell, ...]]]:
+    """Union mask -> disjoint picks from the last one or two classes, in
+    index order."""
+    if len(masks) == 1:
+        return {m: [(cell,)] for cell, m in zip(cells[0], masks[0])}
+    table: dict[int, list[tuple[Cell, ...]]] = {}
+    second = list(zip(cells[1], masks[1]))
+    for a, u in zip(cells[0], masks[0]):
+        for b, m in second:
+            if not u & m:
+                v = u | m
+                got = table.get(v)
+                if got is None:
+                    table[v] = [(a, b)]
+                else:
+                    got.append((a, b))
     return table
 
 
@@ -259,17 +276,24 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
     cells: list[list[Cell]] = [[] for _ in masks]
     for a, x in zip(cube.values, product(range(cube.q), repeat=cube.n)):
         cells[a].append((a,) + x)
-    tail = _tail_table(zip(cells[depth:], masks[depth:]))
+    tail = _tail_table(cells[depth:], masks[depth:])
     full = _full_mask(cube)
+    # a yielded value is the frozen dataclass with its one slot filled directly,
+    # without the per-field object.__setattr__ of its __init__
+    new, fill = object.__new__, Transversal.cells.__set__
     if not depth:
         for pick in tail.get(full, ()):
-            yield Transversal(pick)
+            t = new(Transversal)
+            fill(t, pick)
+            yield t
         return
     _charge(stats, len(masks[0]))
     if depth == 1:
         for cell, m in zip(cells[0], masks[0]):
             for pick in tail.get(full ^ m, ()):
-                yield Transversal((cell,) + pick)
+                t = new(Transversal)
+                fill(t, (cell,) + pick)
+                yield t
         return
     cell_of = [dict(zip(ms, cs)) for ms, cs in zip(masks[:depth], cells)]
     last, last_size = cell_of[-1], len(masks[depth - 1])
@@ -294,7 +318,9 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
                         if picks:
                             at = chosen + (last[x],)
                             for pick in picks:
-                                yield Transversal(at + pick)
+                                t = new(Transversal)
+                                fill(t, at + pick)
+                                yield t
         while frames:
             left, used, head, lists = frames[-1]
             m = next(left, None)

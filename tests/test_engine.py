@@ -60,6 +60,31 @@ def test_transversal_is_a_frozen_slotted_value():
         t.extra = 1
 
 
+# orders 1 and 2 yield straight from the tail table, order 3 from its one
+# depth-first level, orders 4 and 5 from the last of two and three
+YIELD_SITES = [
+    ("order 1", lambda: LatinHypercube(2, 1, bytes(1))),
+    ("order 2 n=3", lambda: cyclic_cube(3, 2)),
+    ("cyclic q=3 n=2", lambda: cyclic_cube(2, 3)),
+    ("xor n=2", lambda: xor_cube(2)),
+    ("cyclic q=5 n=2", lambda: cyclic_cube(2, 5)),
+]
+
+
+@pytest.mark.parametrize("make", [p[1] for p in YIELD_SITES], ids=[p[0] for p in YIELD_SITES])
+def test_yielded_transversals_are_ordinary_values(make):
+    listed = list(enumerate_transversals(make()))
+    assert listed
+    for t in listed:
+        made = Transversal.of(t.cells)
+        assert t == made and hash(t) == hash(made) and repr(t) == repr(made)
+        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert copied == t and hash(copied) == hash(t)
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.cells = ()
+
+
 def test_verify_rejects_shared_coordinate():
     cube = xor_cube(2)
     cells = [(0, 0, 0), (3, 1, 2), (1, 2, 3), (1, 3, 2)]  # x2 repeats 2
@@ -166,6 +191,13 @@ def test_determinism():
     assert c1 == c2 == 96
     assert s1.nodes_visited > 0
     assert list(enumerate_transversals(cube)) == list(enumerate_transversals(cube))
+
+
+def test_search_stats_split_the_elapsed_time():
+    _, stats = count_transversals_stats(cyclic_cube(4, 5))
+    assert stats.prepare_ms >= 0 and stats.search_ms >= 0
+    # the two phases are timed inside the call; allow for float rounding
+    assert stats.prepare_ms + stats.search_ms <= stats.elapsed * 1e3 + 1e-6
 
 
 def test_envelope_order_limit():
