@@ -124,8 +124,6 @@ def gen_iterated_group(kind: GroupKind, n: int, q: int) -> LatinHypercube:
     """
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
-    if q < 2:
-        raise ValueError(f"order must be >= 2, got {q}")
     if kind in (GroupKind.Z4, GroupKind.Z2X2) and q != 4:
         raise ValueError(f"group kind {kind.value} requires order 4, got {q}")
     check_scale(n, q)

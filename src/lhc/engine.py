@@ -57,14 +57,12 @@ from .core import (
     Cell,
     EnvelopeError,
     LatinHypercube,
-    UnsupportedOrderError,
     cell_sums,
 )
 
 if TYPE_CHECKING:
     from .semilinear import Quadruple
 
-ENVELOPE_MAX_ORDER = 6
 # Mask tests one search may make: a level of a half table or of the tail
 # table costs len(table) * len(class) of them, known before it runs.
 MAX_MASK_TESTS = 1 << 26
@@ -123,18 +121,10 @@ def verify_transversal(cube: LatinHypercube, t: Transversal) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_envelope(cube: LatinHypercube) -> None:
-    if cube.q > ENVELOPE_MAX_ORDER:
-        raise EnvelopeError(f"search supports order <= {ENVELOPE_MAX_ORDER}, got q={cube.q}")
-    if cube.size > ENVELOPE_MAX_CELLS:
-        raise EnvelopeError(
-            f"search supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}"
-        )
-
-
 def _prepare(cube: LatinHypercube) -> list[list[int]]:
     """Per output symbol, the packed input masks of its cells in index order."""
-    _check_envelope(cube)
+    if cube.size > ENVELOPE_MAX_CELLS:
+        raise EnvelopeError(f"search supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
     n, q = cube.n, cube.q
     classes: list[list[int]] = [[] for _ in range(q)]
     for a, m in zip(cube.values, cell_sums([[1 << (q * i + x) for x in range(q)] for i in range(n)])):
@@ -346,8 +336,6 @@ def transversals_by_quadruple(cube: LatinHypercube) -> dict[Quadruple, int]:
     the order the enumerator first reaches them."""
     from .semilinear import Quadruple, _int_to_vec, detect_semilinear
 
-    if cube.q != 4:
-        raise UnsupportedOrderError(f"quadruple bucketing needs order 4, got q={cube.q}")
     if detect_semilinear(cube) is None:
         raise ValueError("cube is not standardly semilinear")
     n, m = cube.n, cube.n + 1

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
-from .core import EnvelopeError, LatinHypercube, ParseError, UnsupportedOrderError, _tokens, cell_sums, check_scale
+from .core import MAX_CELLS, EnvelopeError, LatinHypercube, ParseError, UnsupportedOrderError, _tokens, cell_sums, check_scale
 
 # ---------------------------------------------------------------------------
 # Boolean orientation functions
@@ -188,21 +188,9 @@ def _int_to_vec(v: int, m: int) -> tuple[int, ...]:
     return tuple((v >> (m - 1 - i)) & 1 for i in range(m))
 
 
-# The arity envelope of everything brindled: enumerate_brindled lists
-# brindled_count_closed(n) quadruples, about 6^n/32, 1.9M at arity 10 and
-# 11.3M at arity 11; the zero-sum count (second differences of lam over
-# about 3^n/8 cached directions) refuses the same arities.
+# The arity bound of enumerate_brindled, which lists brindled_count_closed(n)
+# quadruples, about 6^n/32: 1.9M at arity 10 and 11.3M at arity 11.
 MAX_BRINDLED = 1 << 21
-
-
-def _check_brindled(n: int) -> int:
-    """brindled_count_closed(n), or EnvelopeError above MAX_BRINDLED."""
-    count = brindled_count_closed(n)
-    if count > MAX_BRINDLED:
-        raise EnvelopeError(
-            f"arity {n} has {count} brindled quadruples, above the supported {MAX_BRINDLED}"
-        )
-    return count
 
 
 def _low_submasks(x: int) -> Iterator[int]:
@@ -246,7 +234,9 @@ def enumerate_brindled(n: int):
     """Iterator over each unordered brindled quadruple of (n+1)-vectors
     once, vectors sorted, quadruples in lexicographic order.  Raises
     EnvelopeError at once above MAX_BRINDLED quadruples."""
-    _check_brindled(n)
+    count = brindled_count_closed(n)
+    if count > MAX_BRINDLED:
+        raise EnvelopeError(f"arity {n} has {count} brindled quadruples, above the supported {MAX_BRINDLED}")
     m = n + 1
     return (Quadruple(tuple(_int_to_vec(v, m) for v in quad)) for quad in _brindled_rows(n))
 
@@ -317,10 +307,12 @@ def _shifts(lam: BooleanFn) -> list[int]:
     """lam as 2^n ints of 2^n bits: entry e holds lam(y ^ e) at bit y.
 
     Round j swaps the blocks of 2^j bits in every entry so far, giving the
-    entries with bit j of e set.  The caller checks the arity first: the
-    list holds 4^n bits.
+    entries with bit j of e set.  The list holds 4^n bits, so it is refused
+    above MAX_CELLS, the bound of the cube gen_semilinear builds from lam.
     """
     n = lam.n
+    if 4**n > MAX_CELLS:
+        raise EnvelopeError(f"arity {n} needs 4**{n} bits of shifted lambda, above the supported {MAX_CELLS}")
     ones = (1 << (1 << n)) - 1
     shifts = [int(lam.to_string()[::-1], 2)]  # bit y is lam at y
     for b in (1 << j for j in range(n)):
@@ -361,8 +353,7 @@ def _odd_cosets(shifts: list[int], directions) -> int:
 
 def _zero_sum_brindled(lam: BooleanFn) -> int:
     """The number of brindled quadruples on whose four indices lam sums to 0."""
-    total = _check_brindled(lam.n)
-    return total - _odd_cosets(_shifts(lam), _brindled_directions(lam.n))
+    return brindled_count_closed(lam.n) - _odd_cosets(_shifts(lam), _brindled_directions(lam.n))
 
 
 def count_transversals_formula(lam: BooleanFn) -> int:
@@ -424,7 +415,7 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
     matches all-even), which the test suite checks from both sides.
     """
     n = lam.n
-    total = _check_brindled(n)
+    total = brindled_count_closed(n)
     shifts = _shifts(lam)
     zero_sum = total - _odd_cosets(shifts, _brindled_directions(n))
     if zero_sum == total:

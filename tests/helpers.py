@@ -52,12 +52,12 @@ def lambda_from_string(s: str) -> BooleanFn:
 
 
 def brute_force_transversals(cube) -> set:
-    """Every transversal of a cube with q <= 4 and n <= 3, or q = 5 and n <=
-    2, found by trying all permutations of the inputs: cell k takes x1 = k
-    and xi = p_i(k)."""
+    """Every transversal of a cube with n <= 2 (at most 8! permutations), or
+    q <= 4 and n <= 3, found by trying all permutations of the inputs: cell
+    k takes x1 = k and xi = p_i(k)."""
     n, q = cube.n, cube.q
-    if q > 5 or n > (2 if q == 5 else 3):
-        raise ValueError(f"brute force is for q <= 4 and n <= 3, or q = 5 and n <= 2, got q={q} n={n}")
+    if n > (3 if q <= 4 else 2):
+        raise ValueError(f"brute force is for n <= 2, or q <= 4 and n <= 3, got q={q} n={n}")
     found = set()
     for perms in product(permutations(range(q)), repeat=n - 1):
         inputs = [(k,) + tuple(p[k] for p in perms) for k in range(q)]

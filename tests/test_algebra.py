@@ -13,6 +13,7 @@ from lhc import (
     BinaryOp,
     CompositionSpec,
     GroupKind,
+    LatinHypercube,
     Leaf,
     Node,
     StructuralError,
@@ -103,6 +104,7 @@ def test_generators_reject_oversized_tables_before_allocating():
         (lambda: compose(spec), scale),
         (split.compose, scale),
         (lambda: gen_iterated_group(GroupKind.CYCLIC, 2, 300), f"{order} 300$"),
+        (lambda: gen_iterated_group(GroupKind.CYCLIC, 2, 0), f"{order} 0$"),
         (lambda: gen_iterated_group(GroupKind.CYCLIC, 7, 9), f"{order} 9$"),
         (lambda: compose(wide), f"{order} 300$"),
     ]
@@ -152,6 +154,12 @@ def test_builders_hold_no_per_cell_list(name):
         tracemalloc.stop()
     assert built is not None
     assert peak < 1 << 20
+
+
+def test_order_one_builders():
+    # the one-symbol cube of each arity, through the random square and tree
+    for n in range(2, 5):
+        assert random_quasigroup(n, 1, random.Random(n)) == LatinHypercube(n, 1, bytes(1))
 
 
 def test_iterated_kind_order_consistency():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import lhc
-from lhc import algebra, brindled_count_closed, engine, parse_lhc, lambda_z4, gen_semilinear, serialize_lhc, semilinear
+from lhc import LatinHypercube, algebra, engine, parse_lhc, lambda_z4, gen_semilinear, serialize_lhc, semilinear
 from lhc.cli import build_parser, main
 
 
@@ -115,11 +115,27 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
 
 
 def test_envelope_exit_code(tmp_path, capsys):
+    # every order a file may have is searched; the envelope is the cell bound
     path = tmp_path / "q7.lhc"
     path.write_text("LHC 1 7\n0 1 2 3 4 5 6\n")
-    rc, _, err = run(capsys, "transversals", str(path))
-    assert rc == 2
-    assert "order" in err
+    rc, out, _ = run(capsys, "transversals", str(path))
+    assert rc == 0
+    assert "transversals: 1\n" in out
+    big = tmp_path / "c21.lhc"
+    assert run(capsys, "gen", "iterated", "--group", "cyclic", "--n", "21", "--q", "2", "-o", str(big))[0] == 0
+    rc, out, err = run(capsys, "transversals", str(big))
+    assert (rc, out) == (2, "")
+    assert "search supports q**n <= 1048576, got 2097152" in err
+
+
+def test_gen_iterated_order_one_and_zero(tmp_path, capsys):
+    path = tmp_path / "c1.lhc"
+    rc, _, _ = run(capsys, "gen", "iterated", "--group", "cyclic", "--n", "3", "--q", "1", "-o", str(path))
+    assert rc == 0
+    assert parse_lhc(path.read_text()) == LatinHypercube(3, 1, bytes(1))
+    assert run(capsys, "gen", "iterated", "--group", "cyclic", "--n", "3", "--q", "0") == (
+        3, "", "input error: order must be in 1..8, got 0\n"
+    )
 
 
 def test_usage_error_exit_code():
@@ -237,14 +253,10 @@ def test_quadruples_report(capsys):
     assert "zero-transversal criterion: has-transversals" in out
 
 
-def test_quadruples_above_the_brindled_bound_fails_fast(capsys):
+def test_quadruples_above_the_cell_bound_fails_fast(capsys):
     # the zero-sum count holds 4^n bits of shifted lam (8 MB at arity 13),
     # so a random lam catches a count that allocates before the bound
-    for n, bits in (
-        (11, "0" * 2**11),
-        (12, _random_bits(12)),
-        (13, _random_bits(13)),
-    ):
+    for n, bits in ((13, _random_bits(13)), (14, _random_bits(14))):
         tracemalloc.start()
         try:
             rc, out, err = run(capsys, "quadruples", "--lambda", bits)
@@ -253,20 +265,20 @@ def test_quadruples_above_the_brindled_bound_fails_fast(capsys):
             tracemalloc.stop()
         assert rc == 2
         assert out == ""
-        assert f"arity {n} has" in err and "brindled quadruples" in err
+        assert f"arity {n} needs 4**{n} bits of shifted lambda" in err
         assert peak < 1 << 20
 
 
-def test_classify_above_the_brindled_bound_prints_nothing(tmp_path, capsys, monkeypatch):
-    # an arity-11 cube takes seconds to build, so the bound is lowered to
-    # put arity 6 above it
+def test_classify_above_the_cell_bound_prints_nothing(tmp_path, capsys, monkeypatch):
+    # a cube file above the bound is refused when it is read, so the bound
+    # the zero-sum count reads is lowered to put arity 6 above it
     path = tmp_path / "s6.lhc"
     run(capsys, "gen", "semilinear", "--lambda", "0" * 64, "-o", str(path))
-    monkeypatch.setattr(semilinear, "MAX_BRINDLED", brindled_count_closed(6) - 1)
+    monkeypatch.setattr(semilinear, "MAX_CELLS", 4**6 - 1)
     rc, out, err = run(capsys, "classify", str(path))
     assert rc == 2
     assert out == ""
-    assert "brindled quadruples" in err
+    assert "arity 6 needs 4**6 bits of shifted lambda, above the supported 4095" in err
 
 
 def test_classify_above_the_factorization_bound_prints_nothing(tmp_path, capsys, monkeypatch):

@@ -11,11 +11,12 @@ import tracemalloc
 
 import pytest
 
-from helpers import addition_square, all_lambdas, cyclic_cube, xor_cube
+from helpers import addition_square, all_lambdas, brute_force_transversals, cyclic_cube, xor_cube
 from lhc import (
     EnvelopeError,
     LatinHypercube,
     QuadrupleClass,
+    StructuralError,
     Transversal,
     UnsupportedOrderError,
     classify_quadruple,
@@ -29,6 +30,7 @@ from lhc import (
     gen_semilinear,
     lambda_z4,
     lambda_z22,
+    lower_bound_completely_reducible,
     transversals_by_quadruple,
     verify_transversal,
 )
@@ -201,9 +203,38 @@ def test_search_stats_split_the_elapsed_time():
 
 
 def test_envelope_order_limit():
-    cube = LatinHypercube(1, 7, bytes(range(7)))
-    with pytest.raises(EnvelopeError):
-        count_transversals(cube)
+    # the search takes every order a cube may have; order 9 is refused by
+    # the cube itself, not by the search
+    for q in (7, 8):
+        assert count_transversals(LatinHypercube(1, q, bytes(range(q)))) == 1
+    with pytest.raises(StructuralError, match="order must be in 1..8, got 9$"):
+        LatinHypercube(1, 9, bytes(range(9)))
+
+
+# 133 is the transversal count of the cyclic square of order 7 (OEIS
+# A006717); an even cyclic square has none; xor is on 3-bit symbols
+LARGE_ORDER_SQUARES = [
+    ("cyclic q=7", lambda: cyclic_cube(2, 7), 133),
+    ("cyclic q=8", lambda: cyclic_cube(2, 8), 0),
+    ("xor q=8", lambda: LatinHypercube(2, 8, bytes(x ^ y for x in range(8) for y in range(8))), 384),
+]
+
+
+@pytest.mark.parametrize("make,count", [p[1:] for p in LARGE_ORDER_SQUARES], ids=[p[0] for p in LARGE_ORDER_SQUARES])
+def test_orders_seven_and_eight_match_brute_force(make, count):
+    cube = make()
+    listed = list(enumerate_transversals(cube))
+    assert count_transversals(cube) == len(listed) == count
+    assert set(listed) == brute_force_transversals(cube)
+
+
+def test_random_order_seven_cube_counts_its_enumeration():
+    # a composition tree, perhaps transformed, so completely reducible: the
+    # paper's lower bound (q * q!)^((n-1)/2) applies
+    cube = random_quasigroup(3, 7, random.Random(0))
+    count = count_transversals(cube)
+    assert count == sum(1 for _ in enumerate_transversals(cube))
+    assert count >= lower_bound_completely_reducible(3, 7)
 
 
 # (count, nodes_visited, mask_tests), recorded from an implementation whose

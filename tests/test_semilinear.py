@@ -12,6 +12,7 @@ from helpers import all_lambdas, enumerate_twin, lambda_from_string, reference_b
 from lhc import (
     BooleanFn,
     DeltaClass,
+    DeltaReport,
     EnvelopeError,
     ParseError,
     PlaneParity,
@@ -37,6 +38,7 @@ from lhc import (
 from lhc.algebra import GroupKind
 from lhc.randgen import random_lambda
 from lhc.semilinear import MAX_BRINDLED, _brindled_rows
+from lhc.verify import _even_xor_count, _odd_group_count
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +200,20 @@ def test_brindled_tables_match_triple_loop(n):
 
 
 def test_brindled_tables_are_bounded():
-    # arity 10 (1.9M quadruples) is the last one built; arity 11 would hold
+    # arity 10 (1.9M quadruples) is the last one listed; arity 11 would hold
     # 11.3M and is refused before anything is allocated
     assert brindled_count_closed(10) <= MAX_BRINDLED < brindled_count_closed(11)
-    zero11, zero12 = BooleanFn(11, (0,) * 2**11), BooleanFn(12, (0,) * 2**12)
-    for call in (
-        lambda: enumerate_brindled(11),
-        lambda: delta_report(zero11),
-        lambda: count_transversals_formula(zero11),
-        lambda: zero_transversal_criterion(zero12),
+    with pytest.raises(EnvelopeError, match="^arity 11 has 11337216 brindled quadruples"):
+        enumerate_brindled(11)
+    # the zero-sum count lists no quadruple; it holds 4^n bits of shifted
+    # lam, refused above MAX_CELLS = 4^12 like the cube of the same lam
+    zero13, zero14 = BooleanFn(13, (0,) * 2**13), BooleanFn(14, (0,) * 2**14)
+    for n, call in (
+        (13, lambda: delta_report(zero13)),
+        (13, lambda: count_transversals_formula(zero13)),
+        (14, lambda: zero_transversal_criterion(zero14)),
     ):
-        with pytest.raises(EnvelopeError, match="brindled quadruples"):
+        with pytest.raises(EnvelopeError, match=rf"^arity {n} needs 4\*\*{n} bits of shifted lambda, above the supported 16777216$"):
             call()
 
 
@@ -288,6 +293,15 @@ def test_formula_small_values():
     assert count_transversals_formula(lambda_z22(3)) == 64 + 32 * 6 == 256
     with pytest.raises(ValueError):
         count_transversals_formula(BooleanFn(1, (0, 1)))
+
+
+def test_group_formulas_hold_up_to_arity_twelve():
+    # arity 12 is the last arity counted: its shifts hold 4^12 = MAX_CELLS bits
+    for n in range(2, 13):
+        want_z4, want_z22 = (_odd_group_count(n),) * 2 if n % 2 else (0, _even_xor_count(n))
+        assert count_transversals_formula(lambda_z4(n)) == want_z4
+        assert count_transversals_formula(lambda_z22(n)) == want_z22
+    assert delta_report(lambda_z22(12)) == DeltaReport(DeltaClass.CONSTANT0, brindled_count_closed(12), PlaneParity.ALL_EVEN)
 
 
 def test_zero_criterion():
