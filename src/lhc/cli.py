@@ -35,7 +35,7 @@ from .core import (
 USAGE_ERROR = 2
 INPUT_ERROR = 3
 
-# zero_transversal_criterion's answer as the reports print it
+# the even-arity criterion (no brindled quadruple with lam-sum 0) as the reports print it
 _VERDICT = {True: "no-transversals", False: "has-transversals"}
 
 
@@ -154,7 +154,7 @@ def _cmd_transversals(args) -> int:
 
 def _cmd_classify(args) -> int:
     from .algebra import find_factorization
-    from .semilinear import delta_report, detect_semilinear, zero_transversal_criterion
+    from .semilinear import delta_report, detect_semilinear
 
     cube = _read_cube(args.path)
     # delta_report and find_factorization refuse oversized cubes: run them before printing
@@ -174,7 +174,7 @@ def _cmd_classify(args) -> int:
         print(f"zero-sum brindled quadruples: {rep.zero_sum_brindled_count}")
         print(f"plane parity: {rep.plane_parity.value}")
         if lam.n % 2 == 0:
-            print(f"zero-transversal criterion: {_VERDICT[zero_transversal_criterion(lam)]}")
+            print(f"zero-transversal criterion: {_VERDICT[rep.zero_sum_brindled_count == 0]}")
     if cube.n < 3:
         print("reducible: not applicable (arity >= 3 only)")
     elif fac is None:
@@ -206,7 +206,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_quadruples(args) -> int:
-    from .semilinear import census_recurrence, count_transversals_formula, count_twin, delta_report, zero_transversal_criterion
+    from .semilinear import census_recurrence, count_transversals_formula, count_twin, delta_report
 
     lam = _read_lambda(args)
     n = lam.n
@@ -225,7 +225,7 @@ def _cmd_quadruples(args) -> int:
     if n >= 2:
         print(f"formula transversal count: {count_transversals_formula(lam)}")
     if n >= 2 and n % 2 == 0:
-        print(f"zero-transversal criterion: {_VERDICT[zero_transversal_criterion(lam)]}")
+        print(f"zero-transversal criterion: {_VERDICT[rep.zero_sum_brindled_count == 0]}")
     return 0
 
 

@@ -182,9 +182,15 @@ def _union_counts(classes, stats: SearchStats, q: int, n: int) -> dict[int, int]
         _charge(stats, len(table) * len(masks))
         k = _key_width(len(table), len(masks), picked, q, n) if picked else 0
         low, cand = (1 << q * k) - 1, masks
+        # the next level books len(nxt) * its class size, and nxt only grows:
+        # refuse as soon as that passes the budget left (never on a half's last level)
+        ahead = len(classes[picked + 1]) if picked + 1 < len(classes) else 0
+        room = MAX_MASK_TESTS - stats.mask_tests
         nxt: dict[int, int] = {}
         lists: dict[int, list[int]] = {}
         for u, c in table.items():
+            if len(nxt) * ahead > room:
+                _charge(stats, len(nxt) * ahead)
             if low:
                 key = u & low
                 cand = lists.get(key)

@@ -416,8 +416,7 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
     """
     n = lam.n
     total = brindled_count_closed(n)
-    shifts = _shifts(lam)
-    zero_sum = total - _odd_cosets(shifts, _brindled_directions(n))
+    zero_sum = _zero_sum_brindled(lam)
     if zero_sum == total:
         delta = DeltaClass.CONSTANT0
     elif zero_sum == 0 and total > 0:
@@ -426,7 +425,7 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
         delta = DeltaClass.NOT_CONSTANT
 
     # a 2-plane is a coset y + {0, e, f, e ^ f} with e and f single bits
-    odd = _odd_cosets(shifts, [(1 << i, 1 << j, 1 << i | 1 << j) for j in range(n) for i in range(j)])
+    odd = _odd_cosets(_shifts(lam), [(1 << i, 1 << j, 1 << i | 1 << j) for j in range(n) for i in range(j)])
     even = (n * (n - 1) // 2 << n >> 2) - odd
     if odd and even:
         parity = PlaneParity.MIXED

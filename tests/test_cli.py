@@ -366,6 +366,31 @@ def test_even_arity_reports_are_unchanged(tmp_path, capsys, command, bits):
     assert _report(tmp_path, capsys, command, bits) == (0, GOLDEN[command, bits], "")
 
 
+def test_each_report_takes_one_zero_sum_pass(tmp_path, capsys, monkeypatch):
+    # a pass is one _odd_cosets sweep over the brindled directions: the
+    # report takes one, the formula line its own, and the criterion line
+    # reads the report's count
+    passes = []
+    odd_cosets = semilinear._odd_cosets
+
+    def counted(shifts, directions):
+        if directions is semilinear._brindled_directions(len(shifts).bit_length() - 1):
+            passes.append(directions)
+        return odd_cosets(shifts, directions)
+
+    monkeypatch.setattr(semilinear, "_odd_cosets", counted)
+    for command, bits, want in [
+        ("quadruples", Z4_4, 2),
+        ("quadruples", RANDOM_6, 2),
+        ("quadruples", _random_bits(7), 2),
+        ("classify", Z4_4, 1),
+        ("classify", RANDOM_6, 1),
+    ]:
+        passes.clear()
+        assert _report(tmp_path, capsys, command, bits)[0] == 0
+        assert len(passes) == want, (command, len(bits))
+
+
 def _random_bits(n: int) -> str:
     """A fixed orientation function per arity, from Random(n)."""
     return format(random.Random(n).getrandbits(1 << n), f"0{1 << n}b")

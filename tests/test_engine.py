@@ -286,6 +286,22 @@ def test_work_budget_covers_the_depth_first_part(monkeypatch):
     assert got == stream[: 15 * 16]
 
 
+def test_an_oversized_count_is_refused_while_its_table_grows():
+    # cyclic q=6 n=6: classes of 7776 cells, so the first half's second level
+    # books 7776^2 mask tests and the third would pass the budget many times
+    # over; the refusal comes once the second level's growing table times
+    # 7776 passes what is left, not after that level has run in full
+    cube = cyclic_cube(6, 6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnvelopeError, match="mask tests"):
+            count_transversals(cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 # (transversals, bookings, their total) of list mode.  The tail's levels
 # cost |C| and |C| * |C'| mask tests, then each depth-first node books its
 # class: xor n=2 tests 4 + 16, then 4 at its root and 4 at each of its 4

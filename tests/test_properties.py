@@ -1,17 +1,20 @@
 """Property tests: the exact engine against a brute-force oracle and the
 formula counter, on cubes drawn from randgen (among them shapes where the
-half tables key their levels); the whole-buffer file routines
+half tables key their levels); the work budget's early refusal against
+the total an unbounded count books; the whole-buffer file routines
 and the streamed table builders against their cell-by-cell references; the
 factorization search against the plain subset sweep; the zero-sum
 brindled count and the plane parity against the listed quadruples and
-planes; the bucketing by
+planes, and the `lhc quadruples` report against both counters; the bucketing by
 block quadruple against one Quadruple per transversal; the count's
 invariance under transforms, factorization of two-level splits, and
 lifted transversals verified on the composed cube."""
 
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stdout
 from functools import lru_cache
 
 import pytest
@@ -40,6 +43,7 @@ from helpers import (
 from lhc import (
     BooleanFn,
     CompositionSpec,
+    EnvelopeError,
     GroupKind,
     LatinHypercube,
     ParseError,
@@ -49,6 +53,7 @@ from lhc import (
     compose,
     count_transversals,
     count_transversals_formula,
+    count_transversals_stats,
     delta_report,
     detect_semilinear,
     enumerate_transversals,
@@ -58,6 +63,7 @@ from lhc import (
     gen_iterated_group,
     gen_semilinear,
     lambda_z4,
+    lambda_z22,
     lift_transversals_fiber,
     lift_transversals_product,
     parse_lhc,
@@ -66,7 +72,10 @@ from lhc import (
     transversals_by_quadruple,
     validate_latin,
     verify_transversal,
+    zero_transversal_criterion,
 )
+from lhc import engine
+from lhc.cli import main
 from lhc.core import _parse_tokens
 from lhc.randgen import (
     random_binary_op,
@@ -121,6 +130,44 @@ def test_keyed_levels_agree_with_the_stream_and_a_transform(shape, seed):
     count = count_transversals(cube)
     assert sum(1 for _ in enumerate_transversals(cube)) == count
     assert count_transversals(apply_transform(cube, random_transform(n, q, rng))) == count
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(q=st.integers(3, 6), n=st.integers(1, 4), seed=seeds, data=st.data())
+def test_work_budget_refuses_exactly_the_counts_that_pass_it(q, n, seed, data):
+    # a level stops as soon as its growing table times the next class size
+    # passes the budget left: that must refuse the same counts as booking
+    # each level only as it starts, whose total is what an unbounded run
+    # books (the default budget bounds none of these cubes)
+    cube = random_quasigroup(n, q, random.Random(seed))
+    count, stats = count_transversals_stats(cube)
+    total = stats.mask_tests
+    budget = data.draw(st.one_of(st.integers(total - 2, total + 2), st.integers(0, 2 * total)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "MAX_MASK_TESTS", budget)
+        if total <= budget:
+            assert count_transversals(cube) == count
+        else:
+            with pytest.raises(EnvelopeError, match="mask tests"):
+                count_transversals(cube)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 8), fixed=st.sampled_from([None, lambda_z4, lambda_z22]), seed=seeds)
+def test_quadruples_report_prints_the_library_counts(n, fixed, seed):
+    # z4 has no transversals at even arity, z22 and most random lam have some
+    lam = fixed(n) if fixed else random_lambda(n, random.Random(seed))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["quadruples", "--lambda", lam.to_string()]) == 0
+    lines = dict(line.split(": ", 1) for line in out.getvalue().splitlines())
+    assert int(lines["zero-sum brindled quadruples"]) == _zero_sum_brindled(lam)
+    assert int(lines["formula transversal count"]) == count_transversals_formula(lam)
+    if n % 2:
+        assert "zero-transversal criterion" not in lines
+    else:
+        verdict = "no-transversals" if zero_transversal_criterion(lam) else "has-transversals"
+        assert lines["zero-transversal criterion"] == verdict
 
 
 @settings(max_examples=30, deadline=None, database=None)
