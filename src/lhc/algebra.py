@@ -10,14 +10,13 @@ counts of completely reducible quasigroups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, repeat
 from operator import add, getitem, mul
 from random import Random
 from typing import TYPE_CHECKING
 
-from .core import ENVELOPE_MAX_CELLS, EnvelopeError, LatinHypercube, StructuralError, cell_sums, check_scale
+from .core import ENVELOPE_MAX_CELLS, EnvelopeError, LatinHypercube, Record, StructuralError, cell_sums, check_scale
 
 if TYPE_CHECKING:
     from .engine import Transversal
@@ -69,10 +68,10 @@ def _index_stream(axes, n: int, q: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinaryOp:
+class BinaryOp(Record):
     """A q x q latin square read as x1 * x2 = table[x1][x2]."""
 
+    __slots__ = ("q", "table")
     q: int
     table: tuple[tuple[int, ...], ...]
 
@@ -143,13 +142,14 @@ def gen_iterated_group(kind: GroupKind, n: int, q: int) -> LatinHypercube:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(Record):
     """Optional isotopy (n+1 symbol permutations, roles 0..n) and optional
     parastrophe (permutation of the n+1 roles).  Applied isotopy first."""
 
-    isotopy: tuple[tuple[int, ...], ...] | None = None
-    parastrophe: tuple[int, ...] | None = None
+    __slots__ = ("isotopy", "parastrophe")
+    _defaults = {"isotopy": None, "parastrophe": None}
+    isotopy: tuple[tuple[int, ...], ...] | None
+    parastrophe: tuple[int, ...] | None
 
 
 def apply_isotopy(cube: LatinHypercube, perms) -> LatinHypercube:
@@ -195,27 +195,28 @@ def apply_transform(cube: LatinHypercube, spec: TransformSpec) -> LatinHypercube
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
+    __slots__ = ("var",)
     var: int  # 1-based input index
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
+    __slots__ = ("op", "left", "right")
     op: BinaryOp
     left: "Leaf | Node"
     right: "Leaf | Node"
 
 
-@dataclass(frozen=True)
-class CompositionSpec:
+class CompositionSpec(Record):
     """Rooted expression tree over the inputs x1..xn, each used once, with a
     binary operation at every internal node, plus an optional transform
     applied to the evaluated table."""
 
+    __slots__ = ("n", "root", "post_transform")
+    _defaults = {"post_transform": None}
     n: int
     root: Leaf | Node
-    post_transform: TransformSpec | None = None
+    post_transform: TransformSpec | None
 
 
 def _collect(node, leaves: list[int], ops: list[BinaryOp]) -> None:
@@ -264,11 +265,11 @@ def compose(spec: CompositionSpec) -> LatinHypercube:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoLevelComposition:
+class TwoLevelComposition(Record):
     """f(x1..xn) = outer(inner(x_S), x_rest), the inner value being outer's
     first argument and the remaining variables keeping increasing order."""
 
+    __slots__ = ("outer", "inner", "inner_vars")
     outer: LatinHypercube
     inner: LatinHypercube
     inner_vars: tuple[int, ...]

@@ -13,9 +13,8 @@ are always the integers 0..q-1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, cycle, repeat
-from operator import add
+from operator import add, attrgetter
 from typing import Iterator
 
 Cell = tuple[int, ...]
@@ -51,6 +50,90 @@ class ParseError(LhcError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+# ---------------------------------------------------------------------------
+# Value types
+# ---------------------------------------------------------------------------
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in __slots__, in constructor order, may give
+    defaults for trailing fields in a class-level _defaults dict, and may
+    check its values in __post_init__.  An instance compares equal only to
+    one of the same class with equal field values, hashes as the tuple of
+    those values, prints as Name(field=value, ...), refuses assignment with
+    dataclasses.FrozenInstanceError, and pickles and copies through its
+    constructor: what @dataclass(frozen=True) would give it, without
+    importing dataclasses or compiling methods for every class.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # the field values as a tuple, for one field as well as for several
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+        # each field's slot setter, which the frozen __setattr__ does not reach
+        cls._setters = tuple(getattr(cls, field).__set__ for field in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._setters):
+            args = self._bind(args, kwargs)
+        for put, value in zip(self._setters, args):
+            put(self, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the field values; a subclass with conditions overrides it."""
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values, from the arguments and then _defaults."""
+        fields, name = cls.__slots__, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args) :]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing required argument: {field!r}")
+        for field in kwargs:
+            what = "multiple values for argument" if field in fields else "an unexpected keyword argument"
+            raise TypeError(f"{name}() got {what} {field!r}")
+        return values
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +200,14 @@ def check_scale(n: int, q: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class LatinHypercube:
+class LatinHypercube(Record):
     """Immutable n-dimensional table of order q.
 
     Construction checks structure only (size and symbol range); latin-ness
     is a separate question answered by validate_latin.
     """
 
+    __slots__ = ("n", "q", "values")
     n: int
     q: int
     values: bytes
@@ -146,16 +229,16 @@ class LatinHypercube:
         return self.values[index_of(coords, self.n, self.q)]
 
 
-@dataclass(frozen=True)
-class LineRef:
+class LineRef(Record):
     """One axis-parallel line: the varying axis (1-based) plus the fixed values."""
 
+    __slots__ = ("axis", "fixed")
     axis: int
     fixed: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
+    __slots__ = ("ok", "violations")
     ok: bool
     violations: tuple[LineRef, ...]
 

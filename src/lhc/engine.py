@@ -47,7 +47,6 @@ each bucket first at its first transversal in the enumeration stream.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import islice, product
 from math import comb
 from typing import TYPE_CHECKING, Iterator
@@ -57,6 +56,7 @@ from .core import (
     Cell,
     EnvelopeError,
     LatinHypercube,
+    Record,
     cell_sums,
 )
 
@@ -68,10 +68,10 @@ if TYPE_CHECKING:
 MAX_MASK_TESTS = 1 << 26
 
 
-@dataclass(frozen=True, slots=True)
-class Transversal:
+class Transversal(Record):
     """q graph cells, sorted by x0, pairwise distinct in every coordinate."""
 
+    __slots__ = ("cells",)
     cells: tuple[Cell, ...]
 
     @classmethod
@@ -79,7 +79,6 @@ class Transversal:
         return cls(tuple(sorted(tuple(c) for c in cells)))
 
 
-@dataclass
 class SearchStats:
     """What a count cost: nodes_visited is the number of partial states (union
     masks) the two half tables hold, summed over their levels, and
@@ -89,11 +88,16 @@ class SearchStats:
     seconds, prepare_ms its search preparation and search_ms the half tables
     and their join, both in milliseconds."""
 
-    nodes_visited: int = 0
-    elapsed: float = 0.0
-    mask_tests: int = 0
-    prepare_ms: float = 0.0
-    search_ms: float = 0.0
+    __slots__ = ("nodes_visited", "elapsed", "mask_tests", "prepare_ms", "search_ms")
+    nodes_visited: int
+    elapsed: float
+    mask_tests: int
+    prepare_ms: float
+    search_ms: float
+
+    def __init__(self):
+        self.nodes_visited = self.mask_tests = 0
+        self.elapsed = self.prepare_ms = self.search_ms = 0.0
 
 
 def verify_transversal(cube: LatinHypercube, t: Transversal) -> bool:
@@ -212,8 +216,10 @@ def count_transversals_stats(cube: LatinHypercube) -> tuple[int, SearchStats]:
     prepared = time.perf_counter()
     stats = SearchStats()
     half = cube.q // 2
-    first = _union_counts(classes[:half], stats, cube.q, cube.n)
+    # the larger half first: a count the budget refuses is mostly refused
+    # while that table grows, before the smaller one has run in full
     second = _union_counts(classes[half:], stats, cube.q, cube.n)
+    first = _union_counts(classes[:half], stats, cube.q, cube.n)
     full = _full_mask(cube)
     found = sum(c * second.get(full ^ u, 0) for u, c in first.items())
     end = time.perf_counter()
@@ -274,7 +280,7 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
         cells[a].append((a,) + x)
     tail = _tail_table(cells[depth:], masks[depth:])
     full = _full_mask(cube)
-    # a yielded value is the frozen dataclass with its one slot filled directly,
+    # a yielded value is the frozen Record with its one slot filled directly,
     # without the per-field object.__setattr__ of its __init__
     new, fill = object.__new__, Transversal.cells.__set__
     if not depth:

@@ -13,23 +13,32 @@ which this module implements alongside an independent census recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
-from .core import MAX_CELLS, EnvelopeError, LatinHypercube, ParseError, UnsupportedOrderError, _tokens, cell_sums, check_scale
+from .core import (
+    MAX_CELLS,
+    EnvelopeError,
+    LatinHypercube,
+    ParseError,
+    Record,
+    UnsupportedOrderError,
+    _tokens,
+    cell_sums,
+    check_scale,
+)
 
 # ---------------------------------------------------------------------------
 # Boolean orientation functions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BooleanFn:
+class BooleanFn(Record):
     """A function {0,1}^n -> {0,1}; bit i is the value at the point whose
     coordinates spell i in binary, z1 most significant."""
 
+    __slots__ = ("n", "bits")
     n: int
     bits: tuple[int, ...]
 
@@ -153,10 +162,10 @@ class QuadrupleClass(Enum):
     BRINDLED = "brindled"
 
 
-@dataclass(frozen=True)
-class Quadruple:
+class Quadruple(Record):
     """A multiset of four equal-length Boolean vectors, stored sorted."""
 
+    __slots__ = ("vectors",)
     vectors: tuple[tuple[int, ...], ...]
 
     @classmethod
@@ -268,8 +277,8 @@ def brindled_count_closed(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadrupleCensus:
+class QuadrupleCensus(Record):
+    __slots__ = ("n", "a00", "a01", "a11", "b00", "b01", "b11", "brindled")
     n: int
     a00: int
     a01: int
@@ -399,8 +408,8 @@ class PlaneParity(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(Record):
+    __slots__ = ("delta_class", "zero_sum_brindled_count", "plane_parity")
     delta_class: DeltaClass
     zero_sum_brindled_count: int
     plane_parity: PlaneParity

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass
 from itertools import permutations
 
 from . import fixtures
@@ -26,6 +25,7 @@ from .algebra import (
     lower_bound_completely_reducible,
     slice_first,
 )
+from .core import Record
 from .engine import (
     count_transversals,
     enumerate_transversals,
@@ -61,16 +61,17 @@ from .semilinear import (
 # Frozen from the exact enumerator on the shipped second example cube.
 SECOND_EXAMPLE_GOLDEN_COUNT = 96
 
-@dataclass
-class ClaimResult:
+class ClaimResult(Record):
+    __slots__ = ("claim_id", "subject", "expected", "got", "passed", "millis", "skipped", "skip_reason")
+    _defaults = {"skipped": False, "skip_reason": ""}
     claim_id: str
     subject: str
     expected: str
     got: str
     passed: bool
     millis: float
-    skipped: bool = False
-    skip_reason: str = ""
+    skipped: bool
+    skip_reason: str
 
 
 def _odd_group_count(n: int) -> int:
@@ -434,7 +435,7 @@ def format_report(results: list[ClaimResult]) -> str:
 
 def sidecar_payload(results: list[ClaimResult]) -> dict:
     return {
-        "claims": [asdict(r) for r in results],
+        "claims": [{field: getattr(r, field) for field in r.__slots__} for r in results],
         "all_passed": all(r.passed for r in results if not r.skipped),
         "provenance": _provenance(),
     }

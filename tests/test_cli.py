@@ -474,6 +474,18 @@ def test_verify_subset(tmp_path, capsys):
     assert abs(datetime.now(timezone.utc) - stamp) < timedelta(minutes=10)
 
 
+def test_sidecar_lists_each_claim_field_in_order():
+    from lhc.verify import ClaimResult, sidecar_payload
+
+    results = [ClaimResult("C01", "binary", "8", "8", True, 1.5), ClaimResult("C02", "odd", "", "", False, 0.0, True, "slow")]
+    assert [list(c.items()) for c in sidecar_payload(results)["claims"]] == [
+        [("claim_id", "C01"), ("subject", "binary"), ("expected", "8"), ("got", "8"), ("passed", True),
+         ("millis", 1.5), ("skipped", False), ("skip_reason", "")],
+        [("claim_id", "C02"), ("subject", "odd"), ("expected", ""), ("got", ""), ("passed", False),
+         ("millis", 0.0), ("skipped", True), ("skip_reason", "slow")],
+    ]
+
+
 def test_verify_unknown_claim(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", "--claim", "C99", "--json", str(tmp_path / "r.json"))
     assert rc == 2
@@ -533,7 +545,8 @@ def test_each_command_imports_only_its_modules(tmp_path, capsys):
         "import sys, contextlib, io, lhc.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = lhc.cli.main(sys.argv[1:])\n"
-        "print(rc, *sorted(m for m in sys.modules if m == 'lhc' or m.startswith('lhc.')))\n"
+        "loaded = sorted(m for m in sys.modules if m == 'lhc' or m.startswith('lhc.'))\n"
+        "print(rc, 'dataclasses' in sys.modules, *loaded)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     for argv, expected in _FOOTPRINTS:
@@ -542,7 +555,7 @@ def test_each_command_imports_only_its_modules(tmp_path, capsys):
             [sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0"] + sorted(expected), argv
+        assert done.stdout.split() == ["0", "False"] + sorted(expected), argv
 
     def sub(parser, name):
         action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 from itertools import combinations, product
 
@@ -9,10 +12,24 @@ import pytest
 
 from helpers import cyclic_cube, graph_cells, xor_cube
 from lhc import (
+    BinaryOp,
+    BooleanFn,
+    CompositionSpec,
+    DeltaClass,
+    DeltaReport,
     LatinHypercube,
+    Leaf,
     LineRef,
+    Node,
     ParseError,
+    PlaneParity,
+    Quadruple,
+    QuadrupleCensus,
     StructuralError,
+    TransformSpec,
+    Transversal,
+    TwoLevelComposition,
+    ValidationReport,
     coords_of,
     index_of,
     parse_lhc,
@@ -20,6 +37,7 @@ from lhc import (
     validate_latin,
 )
 from lhc.fixtures import EXAMPLE_CUBE_1, load_fixture
+from lhc.verify import ClaimResult
 
 
 def test_index_examples():
@@ -220,3 +238,66 @@ def test_parse_memory_is_linear_in_the_file():
         tracemalloc.stop()
     assert parsed == cube
     assert peak < 16 << 20
+
+
+# Every value type, as (class, field values in constructor order, field
+# names, defaults, pinned repr or None, values its __post_init__ rejects and
+# the error, or None).  Hashes must stay those of the frozen dataclasses the
+# types once were, the hash of the field tuple, so set and dict order holds.
+_SQUARE = LatinHypercube(2, 2, bytes([0, 1, 1, 0]))
+_OP = BinaryOp(2, ((0, 1), (1, 0)))
+_NODE = Node(_OP, Leaf(1), Leaf(2))
+RECORDS = [
+    (LatinHypercube, (2, 2, bytes([0, 1, 1, 0])), ("n", "q", "values"), {},
+     "LatinHypercube(n=2, q=2, values=b'\\x00\\x01\\x01\\x00')", ((2, 2, bytes([0, 1, 1, 2])), StructuralError)),
+    (LineRef, (1, (0, 2)), ("axis", "fixed"), {}, None, None),
+    (ValidationReport, (False, (LineRef(1, (0,)),)), ("ok", "violations"), {}, None, None),
+    (BinaryOp, (2, ((0, 1), (1, 0))), ("q", "table"), {}, None, ((2, ((0, 1), (0, 1))), StructuralError)),
+    (TransformSpec, (None, (1, 0, 2)), ("isotopy", "parastrophe"), {"isotopy": None, "parastrophe": None},
+     "TransformSpec(isotopy=None, parastrophe=(1, 0, 2))", None),
+    (Leaf, (3,), ("var",), {}, None, None),
+    (Node, (_OP, Leaf(1), Leaf(2)), ("op", "left", "right"), {}, None, None),
+    (CompositionSpec, (2, _NODE, None), ("n", "root", "post_transform"), {"post_transform": None}, None, None),
+    (TwoLevelComposition, (_SQUARE, _SQUARE, (1, 2)), ("outer", "inner", "inner_vars"), {}, None,
+     ((_SQUARE, _SQUARE, (2, 1)), ValueError)),
+    (BooleanFn, (2, (0, 1, 1, 0)), ("n", "bits"), {}, None, ((2, (0, 1, 1)), ValueError)),
+    (Quadruple, (((0, 0), (0, 1), (1, 0), (1, 1)),), ("vectors",), {}, None, None),
+    (QuadrupleCensus, (3, 1, 2, 3, 4, 5, 6, 7), ("n", "a00", "a01", "a11", "b00", "b01", "b11", "brindled"), {},
+     None, None),
+    (DeltaReport, (DeltaClass.CONSTANT1, 0, PlaneParity.ALL_ODD),
+     ("delta_class", "zero_sum_brindled_count", "plane_parity"), {}, None, None),
+    (Transversal, (((0, 0, 1), (1, 1, 0)),), ("cells",), {}, None, None),
+    (ClaimResult, ("C01", "binary", "8", "8", True, 1.5, False, ""),
+     ("claim_id", "subject", "expected", "got", "passed", "millis", "skipped", "skip_reason"),
+     {"skipped": False, "skip_reason": ""}, None, None),
+]
+
+
+@pytest.mark.parametrize("cls,args,fields,defaults,text,bad", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_value_types_behave_as_frozen_dataclasses(cls, args, fields, defaults, text, bad):
+    a, b = cls(*args), cls(**dict(zip(fields, args)))
+    assert a == b and hash(a) == hash(b) == hash(args)
+    assert a != args and a != object()
+    assert tuple(getattr(a, f) for f in fields) == args
+    assert repr(a) == (text or f"{cls.__qualname__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, args))})")
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert type(copied) is cls and copied == a and hash(copied) == hash(a)
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, fields[0], args[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(a, fields[-1])
+    required = len(fields) - len(defaults)
+    assert cls(*args[:required]) == cls(*args[:required], **defaults)
+    with pytest.raises(TypeError, match="arguments but"):
+        cls(*args, args[0])
+    if required:
+        with pytest.raises(TypeError, match="missing"):
+            cls(*args[: required - 1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'unknown'"):
+        cls(*args, unknown=1)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*args, **{fields[0]: args[0]})
+    if bad is not None:
+        with pytest.raises(bad[1]):
+            cls(*bad[0])

@@ -302,6 +302,22 @@ def test_an_oversized_count_is_refused_while_its_table_grows():
     assert peak < 16 * 2**20
 
 
+def test_the_larger_half_table_is_built_first():
+    # cyclic q=5 n=6: classes of 3125 cells, split 2 + 3.  The three-class
+    # half is refused while its second level grows; built second, it would
+    # start only after the two-class half had run in full (200000 states,
+    # a tracemalloc peak of 22 MB)
+    cube = cyclic_cube(6, 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnvelopeError, match="mask tests"):
+            count_transversals(cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 # (transversals, bookings, their total) of list mode.  The tail's levels
 # cost |C| and |C| * |C'| mask tests, then each depth-first node books its
 # class: xor n=2 tests 4 + 16, then 4 at its root and 4 at each of its 4
