@@ -41,7 +41,8 @@ def inverse_permutation(perm) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Streams over the cells of a table, in index order (see core.cell_sums)
+# Streams over the cells of a table, in index order (see core.cell_sums), for
+# composition, factorization and parastrophes (the rest build whole buffers)
 # ---------------------------------------------------------------------------
 
 
@@ -126,15 +127,14 @@ def gen_iterated_group(kind: GroupKind, n: int, q: int) -> LatinHypercube:
     if kind in (GroupKind.Z4, GroupKind.Z2X2) and q != 4:
         raise ValueError(f"group kind {kind.value} requires order 4, got {q}")
     check_scale(n, q)
-    if kind is GroupKind.Z2X2:
-        # each coordinate adds its low bit and n+1 times its high bit, so a
-        # sum holds both bit counts and the table reads off their parities
-        weights = (0, 1, n + 1, n + 2)
-        table = [(s % (n + 1) & 1) | (s // (n + 1) & 1) << 1 for s in range((n + 1) ** 2)]
-    else:
-        weights = range(q)
-        table = [-s % q for s in range(n * (q - 1) + 1)]
-    return LatinHypercube(n, q, bytes(map(table.__getitem__, cell_sums([weights] * n))))
+    # the table over axes k..n is q copies of the one over axes k+1..n, the
+    # copy for x_k = x with x subtracted from (Z2X2: XOR-ed into) every entry
+    xor = kind is GroupKind.Z2X2
+    maps = [bytes(v ^ x if xor else (v - x) % q for v in range(q)) + bytes(256 - q) for x in range(q)]
+    table = b"\0"
+    for _ in range(n):
+        table = b"".join([table.translate(m) for m in maps])
+    return LatinHypercube(n, q, table)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +158,23 @@ def apply_isotopy(cube: LatinHypercube, perms) -> LatinHypercube:
     perms = tuple(check_permutation(p, q) for p in perms)
     if len(perms) != n + 1:
         raise ValueError(f"expected {n + 1} permutations, got {len(perms)}")
-    inv0 = inverse_permutation(perms[0])
-    # a gather: cell y reads the source cell (s1(y1), .., sn(yn))
-    strides = [q ** (n - i) for i in range(1, n + 1)]
-    sources = cell_sums([[p[y] * s for y in range(q)] for p, s in zip(perms[1:], strides)])
-    return LatinHypercube(n, q, bytes(_gather(inv0, _gather(cube.values, sources))))
+    # cell y reads the source cell (s1(y1), .., sn(yn)): relabel one axis at
+    # a time, slab y along it copied from slab s_i(y) as q^(i-1) contiguous
+    # runs, or, when the runs outnumber their bytes, as extended slices
+    values = cube.values.translate(bytes(inverse_permutation(perms[0])) + bytes(256 - q))
+    for i, p in enumerate(perms[1:], 1):
+        stride = q ** (n - i)
+        step = q * stride
+        if q ** (i - 1) <= stride:
+            values = b"".join([values[o + x * stride : o + x * stride + stride]
+                               for o in range(0, len(values), step) for x in p])
+        else:
+            out = bytearray(len(values))
+            for y, x in enumerate(p):
+                for j in range(stride):
+                    out[y * stride + j :: step] = values[x * stride + j :: step]
+            values = bytes(out)
+    return LatinHypercube(n, q, values)
 
 
 def apply_parastrophe(cube: LatinHypercube, pi) -> LatinHypercube:

@@ -218,7 +218,7 @@ class LatinHypercube(Record):
         size = check_scale(self.n, self.q)
         if len(self.values) != size:
             raise StructuralError(f"expected {size} symbols, got {len(self.values)}")
-        if size and max(self.values) >= self.q:
+        if self.values.translate(None, bytes(range(self.q))):
             raise StructuralError(f"symbol {max(self.values)} out of range for order {self.q}")
 
     @property

@@ -113,18 +113,21 @@ def lambda_z22(n: int) -> BooleanFn:
 # Building and recognizing standardly semilinear cubes
 # ---------------------------------------------------------------------------
 
+_XOR = [bytes(v ^ x for v in range(4)) + bytes(252) for x in range(4)]
+
+
 def gen_semilinear(lam: BooleanFn) -> LatinHypercube:
     """Order-4 cube with f(x) = x1 ^ ... ^ xn ^ lam(l(x1)..l(xn))."""
-    n, bits = lam.n, lam.bits
+    n = lam.n
     check_scale(n, 4)
-    # x_i adds its pair bit l(x_i) at bit n-i of the block index and its
-    # low bit to a count kept above bit n; the XOR of the x_i is the
-    # parity of that count plus twice the parity of the block
-    block = (1 << n) - 1
-    table = [((s >> n) & 1 | ((s & block).bit_count() & 1) << 1) ^ bits[s & block]
-             for s in range((n + 1) << n)]
-    weights = [[(x >> 1) << (n - i) | (x & 1) << n for x in range(4)] for i in range(1, n + 1)]
-    return LatinHypercube(n, 4, bytes(map(table.__getitem__, cell_sums(weights))))
+    # tables[p] is the table over the last axes for the pair bits p of the
+    # axes before them, starting from the lam bits; one more axis in front
+    # pairs the tables for l(x) = 0 and 1, each copy XOR-ed with x
+    tables = [bytes([b]) for b in lam.bits]
+    for _ in range(n):
+        tables = [b"".join([lo, lo.translate(_XOR[1]), hi.translate(_XOR[2]), hi.translate(_XOR[3])])
+                  for lo, hi in zip(tables[::2], tables[1::2])]
+    return LatinHypercube(n, 4, tables[0])
 
 
 def detect_semilinear(cube: LatinHypercube) -> BooleanFn | None:

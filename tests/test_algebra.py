@@ -43,6 +43,7 @@ from lhc import (
 from lhc.fixtures import EXAMPLE_CUBE_1, EXAMPLE_CUBE_2, load_fixture
 from lhc.randgen import (
     random_binary_op,
+    random_isotopy,
     random_lambda,
     random_quasigroup,
     random_transform,
@@ -80,6 +81,20 @@ def test_iterated_cyclic_formula():
 def test_iterated_order4_counts():
     assert count_transversals(gen_iterated_group(GroupKind.Z2X2, 2, 4)) == 8
     assert count_transversals(gen_iterated_group(GroupKind.Z4, 2, 4)) == 0
+
+
+def test_iterated_xor_group_at_the_largest_supported_table():
+    # 4**12 cells is MAX_CELLS itself, far past what the cell-by-cell
+    # reference reaches; sample cells against x1 ^ .. ^ x12
+    n = 12
+    cube = gen_iterated_group(GroupKind.Z2X2, n, 4)
+    assert cube.size == 4**n
+    rng = random.Random(12)
+    for x in [(0,) * n, (3,) * n] + [tuple(rng.randrange(4) for _ in range(n)) for _ in range(200)]:
+        acc = 0
+        for v in x:
+            acc ^= v
+        assert cube[x] == acc
 
 
 def test_generators_reject_oversized_tables_before_allocating():
@@ -236,6 +251,24 @@ def test_sigma_isotopy_reveals_weight_rule():
     for n in (2, 3):
         moved = apply_isotopy(gen_iterated_group(GroupKind.Z4, n, 4), (SIGMA,) * (n + 1))
         assert detect_semilinear(moved) == lambda_z4(n)
+
+
+def test_arity_nine_isotopy_is_undone_by_its_inverse():
+    # 4**9 cells, past the cell-by-cell reference: every axis is relabeled,
+    # the outer ones by contiguous runs and the inner ones by extended slices
+    n = 9
+    rng = random.Random(9)
+    cube = gen_semilinear(random_lambda(n, rng))
+    perms = random_isotopy(n, 4, rng)
+    moved = apply_isotopy(cube, perms)
+    assert moved != cube
+    inverses = [algebra.inverse_permutation(p) for p in perms]
+    for _ in range(200):
+        x = tuple(rng.randrange(4) for _ in range(n))
+        y = tuple(inverses[i + 1][v] for i, v in enumerate(x))
+        assert moved[y] == inverses[0][cube[x]]
+    assert validate_latin(moved).ok
+    assert apply_isotopy(moved, inverses) == cube
 
 
 def test_parastrophe_swap_roles_matches_graph_oracle():

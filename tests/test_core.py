@@ -90,6 +90,22 @@ def test_structural_errors_are_not_latin_violations():
         LatinHypercube(2, 9, bytes(81))
 
 
+@pytest.mark.parametrize("q", range(1, 9))
+def test_out_of_range_symbols_are_refused_with_the_largest_one(q):
+    # every order's symbol set is checked as a whole buffer; the message
+    # still names the largest symbol, wherever it sits
+    n = 2
+    good = bytes(range(q)) * q
+    assert LatinHypercube(n, q, good).values == good
+    for bad, where in [(q, 0), (255, q * q - 1), (7 + q, q * q - 1)]:
+        values = bytearray(good)
+        values[where] = bad
+        with pytest.raises(StructuralError, match=rf"^symbol {bad} out of range for order {q}$"):
+            LatinHypercube(n, q, bytes(values))
+    with pytest.raises(StructuralError, match=r"^symbol 7 out of range for order 2$"):
+        LatinHypercube(2, 2, bytes([0, 1, 7, 0]))
+
+
 def test_graph_cells_identity_permutation():
     cube = LatinHypercube(1, 2, bytes([0, 1]))
     assert set(graph_cells(cube)) == {(0, 0), (1, 1)}
