@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cache
 from itertools import combinations, repeat
 from operator import add, getitem, mul
 from random import Random
 from typing import TYPE_CHECKING
 
 from .core import ENVELOPE_MAX_CELLS, EnvelopeError, LatinHypercube, Record, StructuralError, cell_sums, check_scale
+from .core import inverse_slabs, slabs
 
 if TYPE_CHECKING:
     from .engine import Transversal
@@ -42,7 +44,7 @@ def inverse_permutation(perm) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Streams over the cells of a table, in index order (see core.cell_sums), for
-# composition, factorization and parastrophes (the rest build whole buffers)
+# composition and factorization (the rest build whole buffers)
 # ---------------------------------------------------------------------------
 
 
@@ -158,22 +160,13 @@ def apply_isotopy(cube: LatinHypercube, perms) -> LatinHypercube:
     perms = tuple(check_permutation(p, q) for p in perms)
     if len(perms) != n + 1:
         raise ValueError(f"expected {n + 1} permutations, got {len(perms)}")
-    # cell y reads the source cell (s1(y1), .., sn(yn)): relabel one axis at
-    # a time, slab y along it copied from slab s_i(y) as q^(i-1) contiguous
-    # runs, or, when the runs outnumber their bytes, as extended slices
+    # cell y reads the source cell (s1(y1), .., sn(yn)): relabel the last
+    # axis n times, each time joining its slabs in the order s_i, which
+    # moves it to the front and leaves the axes in their order at the end
     values = cube.values.translate(bytes(inverse_permutation(perms[0])) + bytes(256 - q))
-    for i, p in enumerate(perms[1:], 1):
-        stride = q ** (n - i)
-        step = q * stride
-        if q ** (i - 1) <= stride:
-            values = b"".join([values[o + x * stride : o + x * stride + stride]
-                               for o in range(0, len(values), step) for x in p])
-        else:
-            out = bytearray(len(values))
-            for y, x in enumerate(p):
-                for j in range(stride):
-                    out[y * stride + j :: step] = values[x * stride + j :: step]
-            values = bytes(out)
+    for p in reversed(perms[1:]):
+        parts = slabs(values, q, 1)
+        values = b"".join([parts[x] for x in p])
     return LatinHypercube(n, q, values)
 
 
@@ -181,17 +174,22 @@ def apply_parastrophe(cube: LatinHypercube, pi) -> LatinHypercube:
     """Re-read the graph with role i taking the old role pi(i)."""
     n, q = cube.n, cube.q
     pi = check_permutation(pi, n + 1)
-    # a scatter: the graph cell (x0..xn) lands at the index spelt by its
-    # roles pi(1)..pi(n) and holds its role pi(0)
-    stride = [0] * (n + 1)
-    for i in range(1, n + 1):
-        stride[pi[i]] = q ** (n - i)
-    dests = map(add, cell_sums(_strided(stride[1:], q)), map(mul, repeat(stride[0]), cube.values))
-    held = cube.values if pi[0] == 0 else _index_stream([pi[0] - 1], n, q)
-    out = bytearray(cube.size)
-    for dest, v in zip(dests, held):
-        out[dest] = v
-    return LatinHypercube(n, q, bytes(out))
+    values, roles = cube.values, list(range(1, n + 1))  # the old role on each axis
+    if pi[0]:
+        # the output swaps roles with input pi(0), whose lines are inverted:
+        # joined, their slabs put the old output role on the front axis
+        values = b"".join(inverse_slabs(slabs(values, q, q ** (n - pi[0])), range(q)))
+        roles = [0] + [r for r in roles if r != pi[0]]
+    # move axes to the front, the last wanted first; the longest tail of pi
+    # that is in order already stays behind them
+    keep = n - 1
+    while keep and roles.index(pi[keep]) < roles.index(pi[keep + 1]):
+        keep -= 1
+    for role in reversed(pi[1 : keep + 1]):
+        axis = roles.index(role)
+        values = b"".join(slabs(values, q, q ** (n - 1 - axis)))
+        roles.insert(0, roles.pop(axis))
+    return LatinHypercube(n, q, values)
 
 
 def apply_transform(cube: LatinHypercube, spec: TransformSpec) -> LatinHypercube:
@@ -332,22 +330,20 @@ def factor_on_subset(cube: LatinHypercube, subset) -> TwoLevelComposition | None
         raise ValueError(f"subset size must be in 2..{n - 1}, got {len(subset)}")
     if any(not 1 <= v <= n for v in subset):
         raise ValueError(f"subset must lie in 1..{n}")
-    m = len(subset)
-    rest = tuple(v for v in range(1, n + 1) if v not in set(subset))
-    n_rest = n - m
-    bases = list(cell_sums(_strided([q ** (n - v) for v in subset], q)))
-    offsets = list(cell_sums(_strided([q ** (n - v) for v in rest], q)))
-    columns = _distinct_columns(cube.values, q, bases, offsets)
-    if columns is None or len({col[0] for col in columns}) != q:
+    rest = tuple(v for v in range(1, n + 1) if v not in subset)
+    # with the axes of S moved to the front, each column is one run
+    table = apply_parastrophe(cube, (0, *subset, *rest)).values
+    block = q ** len(rest)
+    columns = set()
+    for start in range(0, len(table), block):
+        columns.add(table[start : start + block])
+        if len(columns) > q:
+            return None
+    if len({col[0] for col in columns}) != q:
         return None
-    # the label of the column at base is its first reading, values[base]
-    inner_vals = _gather(cube.values, bases)
-    outer_vals = bytearray(q ** (n_rest + 1))
-    block = q**n_rest
-    for col in columns:
-        outer_vals[col[0] * block : (col[0] + 1) * block] = col
-    inner = LatinHypercube(m, q, bytes(inner_vals))
-    outer = LatinHypercube(n_rest + 1, q, bytes(outer_vals))
+    # the label of a column is its first reading
+    inner = LatinHypercube(len(subset), q, table[::block])
+    outer = LatinHypercube(len(rest) + 1, q, b"".join(sorted(columns)))
     return TwoLevelComposition(outer, inner, subset)
 
 
@@ -361,20 +357,23 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
 
     S can be a block only if its q^|S| columns take at most q distinct
     values, and parts of the columns cannot take more values than the
-    whole columns do.  So each subset is first probed: a small S has every
-    column read at a few rest points, a large S has a few columns read in
-    full, and more than q distinct readings rule S out.  The subsets that
-    survive go to factor_on_subset in sweep order, so the result is the
-    one the plain sweep gives.
+    whole columns do.  So each subset that passes _restriction_screen is
+    probed: a small S has every column read at a few rest points, a large S
+    has a few columns read in full, and more than q distinct readings rule
+    S out.  The subsets that survive go to factor_on_subset in sweep order,
+    so the result is the one the plain sweep gives.
     """
     n, q, values = cube.n, cube.q, cube.values
     if n < 3:
         raise ValueError(f"reducibility needs arity >= 3, got {n}")
     if cube.size > ENVELOPE_MAX_CELLS:
         raise EnvelopeError(f"factorization supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
+    screen = _restriction_screen(cube)
     rng = Random(0)
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
+            if not screen(subset):
+                continue
             inner = [q ** (n - v) for v in subset]
             rest = [q ** (n - v) for v in range(1, n + 1) if v not in subset]
             if size <= n - size:
@@ -389,6 +388,31 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
             if fac is not None:
                 return fac
     return None
+
+
+def _restriction_screen(cube: LatinHypercube):
+    """A test that every block S passes: for all i < j in S and k outside
+    it, {i, j} is a block of the ternary restriction to (x_i, x_j, x_k) with
+    the other inputs all at 0, and all at q-1, since fixing them turns
+    outer(inner(x_S), x_rest) into G(H(x_i, x_j), x_k).  Each triple is
+    read once, when first asked for."""
+    n, q, values = cube.n, cube.q, cube.values
+    stride = [q ** (n - v) for v in range(n + 1)]
+    top = (q - 1) * sum(stride[1:])  # every input at q-1
+
+    @cache
+    def block(i: int, j: int, k: int) -> bool:
+        si, sj, sk = stride[i], stride[j], stride[k]
+        for corner in (0, top - (q - 1) * (si + sj + sk)):
+            # the column over x_k at each (x_i, x_j) is an extended slice
+            bases = [corner + x * si + y * sj for x in range(q) for y in range(q)]
+            if len({values[b : b + q * sk : sk] for b in bases}) > q:
+                return False
+        return True
+
+    return lambda subset: all(
+        block(i, j, k) for i, j in combinations(subset, 2) for k in range(1, n + 1) if k not in subset
+    )
 
 
 # Rest points read per column of a small subset; a large subset has
@@ -430,14 +454,8 @@ def fiber_quasigroup(cube: LatinHypercube, a: int) -> LatinHypercube:
         raise ValueError("fiber needs arity >= 2")
     if not 0 <= a < q:
         raise ValueError(f"symbol {a} out of range")
-    block = q ** (n - 1)
-    out = bytearray(block)
-    # cell index = x1 * q^(n-1) + the index of (x2..xn)
-    for idx, v in enumerate(cube.values):
-        if v == a:
-            x1, rest = divmod(idx, block)
-            out[rest] = x1
-    return LatinHypercube(n - 1, q, bytes(out))
+    # at each (x2..xn), the x1 with f = a: the lines along x1 inverted
+    return LatinHypercube(n - 1, q, inverse_slabs(slabs(cube.values, q, q ** (n - 1)), [a])[0])
 
 
 def slice_first(cube: LatinHypercube, a: int) -> LatinHypercube:

@@ -70,12 +70,17 @@ def _read_cube(path: str) -> LatinHypercube:
 
 
 def _write_cube(cube: LatinHypercube, out: str | None) -> None:
-    text = serialize_lhc(cube)
+    data = serialize_lhc(cube, as_bytes=True)
     if out is None:
-        sys.stdout.write(text)
+        stdout = sys.stdout
+        if hasattr(stdout, "buffer"):
+            stdout.flush()
+            stdout.buffer.write(data)
+        else:  # a text-only stream put in place of stdout
+            stdout.write(data.decode("ascii"))
     else:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            Path(out).write_bytes(data)
         except OSError as e:
             raise _OutputError(out, e) from None
 

@@ -182,6 +182,40 @@ def _axis_sums(weights) -> list[int]:
     return sums
 
 
+def slabs(values, q: int, stride: int) -> list:
+    """The q slabs of a table along the axis of `stride`: slab x holds, in
+    index order, the cells whose coordinate on that axis is x.  Joined in
+    order they give the table with that axis moved to the front.
+
+    A slab is len(values)/(q*stride) runs of `stride` cells; they are
+    joined when they are no more than the cells of one run, else the slab
+    is copied as `stride` extended slices.
+    """
+    step = q * stride
+    if len(values) <= step * stride:
+        return [b"".join([values[o : o + stride] for o in range(x * stride, len(values), step)]) for x in range(q)]
+    if stride == 1:
+        return [values[x::q] for x in range(q)]
+    parts = [bytearray(len(values) // q) for _ in range(q)]
+    for x, part in enumerate(parts):
+        for j in range(stride):
+            part[j::stride] = values[x * stride + j :: step]
+    return parts
+
+
+def inverse_slabs(parts, symbols) -> list[bytes]:
+    """From the slabs of a table along an axis whose lines are permutations,
+    slab y of the table with each of those lines inverted, for each y in
+    `symbols`: at every cell, the x whose slab holds y there.  Slab x adds x
+    times its indicator of y."""
+    out = []
+    for y in symbols:
+        ones = _ONES[255 - y : 511 - y]
+        total = sum(x * int.from_bytes(part.translate(ones), "little") for x, part in enumerate(parts[1:], 1))
+        out.append(total.to_bytes(len(parts[0]), "little"))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The hypercube value type
 # ---------------------------------------------------------------------------
@@ -250,29 +284,22 @@ def validate_latin(cube: LatinHypercube) -> ValidationReport:
     order; structural problems are impossible here because LatinHypercube
     construction already rejects them.
 
-    Each cell becomes a one-hot byte lane of one big int.  Along an axis of
-    stride s, OR-ing the copies shifted by 0, s, .., (q-1)s cells leaves in
-    the lane of a line's first cell the set of symbols on that line; a line
-    is latin exactly when that lane holds all q bits.
+    Each cell becomes a one-hot byte.  OR-ing the q slabs along an axis, as
+    big ints, leaves in lane j the set of symbols on the j-th line along
+    that axis; a line is latin exactly when its lane holds all q bits.
     """
-    n, q, values = cube.n, cube.q, cube.values
-    size = len(values)
-    lanes = int.from_bytes(values.translate(_ONE_HOT), "little")
-    all_ones = bytes([(1 << q) - 1])
+    n, q = cube.n, cube.q
+    one_hot = cube.values.translate(_ONE_HOT)
+    lines = len(one_hot) // q
+    full = int.from_bytes(bytes([(1 << q) - 1]) * lines, "little")
     violations = []
     for axis in range(1, n + 1):
-        stride = q ** (n - axis)
-        seen = lanes
-        for v in range(1, q):
-            seen |= lanes >> (8 * v * stride)
-        # all-ones in the lane of every line's first cell, zero elsewhere
-        block = all_ones * stride + bytes(stride * (q - 1))
-        firsts = int.from_bytes(block * (size // len(block)), "little")
-        missing = (seen & firsts) ^ firsts
-        if missing:
-            for hit in _NONZERO_LANE.finditer(missing.to_bytes(size, "little")):
-                coords = coords_of(hit.start(), n, q)
-                violations.append(LineRef(axis, coords[: axis - 1] + coords[axis:]))
+        seen = 0
+        for part in slabs(one_hot, q, q ** (n - axis)):
+            seen |= int.from_bytes(part, "little")
+        if seen != full:
+            for hit in _NONZERO_LANE.finditer((seen ^ full).to_bytes(lines, "little")):
+                violations.append(LineRef(axis, coords_of(hit.start(), n - 1, q)))
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -300,6 +327,8 @@ _TO_DIGIT = bytes.maketrans(bytes(range(8)), _SYMBOLS)
 # than one character shows up as b"xx"
 _SHAPE = bytes(32 if b in _SPACE else 120 for b in range(256))
 _ONE_HOT = bytes(1 << b if b < 8 else 0 for b in range(256))
+# [255 - y : 511 - y] is the translation table of y to 1, every other byte to 0
+_ONES = bytes(255) + b"\x01" + bytes(255)
 _NONZERO_LANE = re.compile(rb"[^\x00]")
 
 
@@ -385,9 +414,10 @@ def _parse_tokens(text: str) -> LatinHypercube:
     return LatinHypercube(n, q, bytes(out))
 
 
-def serialize_lhc(cube: LatinHypercube) -> str:
+def serialize_lhc(cube: LatinHypercube, as_bytes: bool = False) -> str | bytearray:
     """Canonical rendering: header, then rows of q symbols, layers separated
-    by blank lines for n >= 3 (x1 selects the layer)."""
+    by blank lines for n >= 3 (x1 selects the layer).  With as_bytes, the
+    ASCII bytes of that text, for a caller that writes them out."""
     n, q = cube.n, cube.q
     digits = cube.values.translate(_TO_DIGIT)
     layers = q if n >= 3 else 1
@@ -401,4 +431,4 @@ def serialize_lhc(cube: LatinHypercube) -> str:
             out += b"\n"
         layer[::2] = digits[k * cells : (k + 1) * cells]
         out += layer
-    return out.decode("ascii")
+    return out if as_bytes else out.decode("ascii")

@@ -363,9 +363,12 @@ def _odd_cosets(shifts: list[int], directions) -> int:
     return sum((s ^ shifts[e] ^ shifts[f] ^ shifts[g]).bit_count() for e, f, g in directions) >> 2
 
 
-def _zero_sum_brindled(lam: BooleanFn) -> int:
-    """The number of brindled quadruples on whose four indices lam sums to 0."""
-    return brindled_count_closed(lam.n) - _odd_cosets(_shifts(lam), _brindled_directions(lam.n))
+def _zero_sum_brindled(lam: BooleanFn, shifts: list[int] | None = None) -> int:
+    """The number of brindled quadruples on whose four indices lam sums to 0;
+    `shifts`, when given, is _shifts(lam)."""
+    if shifts is None:
+        shifts = _shifts(lam)
+    return brindled_count_closed(lam.n) - _odd_cosets(shifts, _brindled_directions(lam.n))
 
 
 def count_transversals_formula(lam: BooleanFn) -> int:
@@ -428,7 +431,8 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
     """
     n = lam.n
     total = brindled_count_closed(n)
-    zero_sum = _zero_sum_brindled(lam)
+    shifts = _shifts(lam)
+    zero_sum = _zero_sum_brindled(lam, shifts)
     if zero_sum == total:
         delta = DeltaClass.CONSTANT0
     elif zero_sum == 0 and total > 0:
@@ -437,7 +441,7 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
         delta = DeltaClass.NOT_CONSTANT
 
     # a 2-plane is a coset y + {0, e, f, e ^ f} with e and f single bits
-    odd = _odd_cosets(_shifts(lam), [(1 << i, 1 << j, 1 << i | 1 << j) for j in range(n) for i in range(j)])
+    odd = _odd_cosets(shifts, [(1 << i, 1 << j, 1 << i | 1 << j) for j in range(n) for i in range(j)])
     even = (n * (n - 1) // 2 << n >> 2) - odd
     if odd and even:
         parity = PlaneParity.MIXED

@@ -8,7 +8,16 @@ from itertools import combinations, permutations
 
 import pytest
 
-from helpers import L0, Z4ADD, addition_square, cyclic_cube, graph_cells, lambda_from_string, xor_cube
+from helpers import (
+    L0,
+    Z4ADD,
+    addition_square,
+    cyclic_cube,
+    graph_cells,
+    lambda_from_string,
+    reference_find_factorization,
+    xor_cube,
+)
 from lhc import (
     BinaryOp,
     CompositionSpec,
@@ -254,8 +263,7 @@ def test_sigma_isotopy_reveals_weight_rule():
 
 
 def test_arity_nine_isotopy_is_undone_by_its_inverse():
-    # 4**9 cells, past the cell-by-cell reference: every axis is relabeled,
-    # the outer ones by contiguous runs and the inner ones by extended slices
+    # 4**9 cells, past the cell-by-cell reference: every axis is relabeled
     n = 9
     rng = random.Random(9)
     cube = gen_semilinear(random_lambda(n, rng))
@@ -269,6 +277,24 @@ def test_arity_nine_isotopy_is_undone_by_its_inverse():
         assert moved[y] == inverses[0][cube[x]]
     assert validate_latin(moved).ok
     assert apply_isotopy(moved, inverses) == cube
+
+
+def test_arity_nine_parastrophe_is_undone_by_its_inverse():
+    # 4**9 cells: the output role swaps with input 4, whose lines are
+    # inverted, and the inputs then move by contiguous runs and by extended
+    # slices
+    n = 9
+    rng = random.Random(19)
+    cube = gen_semilinear(random_lambda(n, rng))
+    pi = (4, 7, 0, 9, 2, 5, 1, 8, 3, 6)
+    moved = apply_parastrophe(cube, pi)
+    assert moved != cube
+    for _ in range(200):
+        x = tuple(rng.randrange(4) for _ in range(n))
+        cell = (cube[x],) + x
+        assert moved[tuple(cell[pi[i]] for i in range(1, n + 1))] == cell[pi[0]]
+    assert validate_latin(moved).ok
+    assert apply_parastrophe(moved, algebra.inverse_permutation(pi)) == cube
 
 
 def test_parastrophe_swap_roles_matches_graph_oracle():
@@ -373,6 +399,28 @@ def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch
     monkeypatch.setattr(algebra, "factor_on_subset", counted)
     assert find_factorization(cube) is None
     assert len(calls) < 25
+
+
+def test_factorization_of_the_and_lambda_needs_no_exact_check(monkeypatch):
+    # lambda the AND of all inputs differs from an affine one in one point
+    # of 256, which the random probe rarely reads (189 exact checks without
+    # the screen); every ternary restriction at the all-3 corner is the
+    # irreducible arity-3 AND cube, so the screen rules out every subset
+    cube = gen_semilinear(lambda_from_string("0" * 255 + "1"))
+    calls = []
+
+    def counted(c, subset):
+        calls.append(subset)
+        return factor_on_subset(c, subset)
+
+    monkeypatch.setattr(algebra, "factor_on_subset", counted)
+    assert find_factorization(cube) is None
+    assert calls == []
+
+
+def test_factorization_of_the_and_lambda_matches_the_plain_sweep():
+    cube = gen_semilinear(lambda_from_string("0" * 63 + "1"))
+    assert find_factorization(cube) == reference_find_factorization(cube) is None
 
 
 # ---------------------------------------------------------------------------
