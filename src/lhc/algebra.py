@@ -13,7 +13,7 @@ import math
 from enum import Enum
 from functools import cache
 from itertools import combinations, repeat
-from operator import add, getitem, mul
+from operator import add, getitem
 from random import Random
 from typing import TYPE_CHECKING
 
@@ -44,7 +44,7 @@ def inverse_permutation(perm) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Streams over the cells of a table, in index order (see core.cell_sums), for
-# composition and factorization (the rest build whole buffers)
+# the factorization probe; every table is built as whole buffers
 # ---------------------------------------------------------------------------
 
 
@@ -56,14 +56,6 @@ def _strided(strides, q: int) -> list[list[int]]:
 def _gather(table, indices):
     """table[i] for each i; unlike bytes.__getitem__, no argument tuple per item."""
     return map(getitem, repeat(table), indices)
-
-
-def _index_stream(axes, n: int, q: int):
-    """For every cell of an n-axis table, in index order, its index in the
-    table over `axes` alone (0-based, in that order).  One axis gives that
-    coordinate."""
-    stride = dict(zip(reversed(axes), (q**k for k in range(len(axes)))))
-    return cell_sums(_strided([stride.get(i, 0) for i in range(n)], q))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +165,14 @@ def apply_isotopy(cube: LatinHypercube, perms) -> LatinHypercube:
 def apply_parastrophe(cube: LatinHypercube, pi) -> LatinHypercube:
     """Re-read the graph with role i taking the old role pi(i)."""
     n, q = cube.n, cube.q
-    pi = check_permutation(pi, n + 1)
-    values, roles = cube.values, list(range(1, n + 1))  # the old role on each axis
+    return LatinHypercube(n, q, _parastrophe(cube.values, n, q, check_permutation(pi, n + 1)))
+
+
+def _parastrophe(values, n: int, q: int, pi) -> bytes:
+    """apply_parastrophe on a bare table.  A move rebinds `values` to its
+    slabs before joining them, so a table passed with no other reference
+    is freed before the moved one is built."""
+    roles = list(range(1, n + 1))  # the old role on each axis
     if pi[0]:
         # the output swaps roles with input pi(0), whose lines are inverted:
         # joined, their slabs put the old output role on the front axis
@@ -187,9 +185,10 @@ def apply_parastrophe(cube: LatinHypercube, pi) -> LatinHypercube:
         keep -= 1
     for role in reversed(pi[1 : keep + 1]):
         axis = roles.index(role)
-        values = b"".join(slabs(values, q, q ** (n - 1 - axis)))
+        values = slabs(values, q, q ** (n - 1 - axis))
+        values = b"".join(values)
         roles.insert(0, roles.pop(axis))
-    return LatinHypercube(n, q, values)
+    return values
 
 
 def apply_transform(cube: LatinHypercube, spec: TransformSpec) -> LatinHypercube:
@@ -240,13 +239,29 @@ def _collect(node, leaves: list[int], ops: list[BinaryOp]) -> None:
         raise ValueError(f"not a tree node: {node!r}")
 
 
-def _tree_stream(node, n: int, q: int):
-    """The node's value at every cell, in index order: a leaf is a
-    coordinate stream, a node looks its two children up in its table."""
+def _tree_table(node, q: int) -> bytes:
+    """The node's table over its leaves, left to right: the right child's
+    table relabelled through the operation's row x, for each x in the left's."""
     if isinstance(node, Leaf):
-        return _index_stream([node.var - 1], n, q)
-    rows = _gather(node.op.table, _tree_stream(node.left, n, q))
-    return map(getitem, rows, _tree_stream(node.right, n, q))
+        return bytes(range(q))
+    right = _tree_table(node.right, q)
+    rows = [right.translate(bytes(row) + bytes(256 - q)) for row in node.op.table]
+    return _substituted(rows, _tree_table(node.left, q))
+
+
+def _substituted(parts, keys) -> bytes:
+    """The table of g(h(a), b) over the axes of a, then b, from g's slabs
+    along its first axis and h's table: parts[k] for each k in keys, joined.
+    With more keys than cells in a part, the join's buffer per piece would
+    outweigh the table, so the cells j, j + width, .. are written at once:
+    the keys relabelled through the parts' j-th cells."""
+    width = len(parts[0])
+    if len(keys) <= width:
+        return b"".join([parts[k] for k in keys])
+    out = bytearray(len(keys) * width)
+    for j in range(width):
+        out[j::width] = keys.translate(bytes([part[j] for part in parts]) + bytes(256 - len(parts)))
+    return bytes(out)
 
 
 def compose(spec: CompositionSpec) -> LatinHypercube:
@@ -264,7 +279,8 @@ def compose(spec: CompositionSpec) -> LatinHypercube:
         raise ValueError(f"mixed orders in tree: {sorted(qs)}")
     q = qs.pop()
     check_scale(spec.n, q)
-    cube = LatinHypercube(spec.n, q, bytes(_tree_stream(spec.root, spec.n, q)))
+    values = _parastrophe(_tree_table(spec.root, q), spec.n, q, inverse_permutation((0, *leaves)))
+    cube = LatinHypercube(spec.n, q, values)
     if spec.post_transform is not None:
         cube = apply_transform(cube, spec.post_transform)
     return cube
@@ -288,7 +304,7 @@ class TwoLevelComposition(Record):
         if self.outer.q != self.inner.q:
             raise ValueError("outer and inner orders differ")
         if tuple(sorted(set(self.inner_vars))) != self.inner_vars:
-            raise ValueError("inner_vars must be strictly increasing")
+            raise ValueError(f"inner_vars must be a strictly increasing tuple, got {self.inner_vars!r}")
         if len(self.inner_vars) != self.inner.n:
             raise ValueError("inner_vars length must match inner arity")
         if self.inner.n < 1 or self.outer.n < 2:
@@ -309,11 +325,9 @@ class TwoLevelComposition(Record):
     def compose(self) -> LatinHypercube:
         n, q = self.n, self.inner.q
         check_scale(n, q)
-        ys = _gather(self.inner.values, _index_stream([v - 1 for v in self.inner_vars], n, q))
-        # outer index = inner value * q^|rest| + the index of x_rest
-        shifted = map(mul, repeat(q ** (self.outer.n - 1)), ys)
-        outer_index = map(add, shifted, _index_stream([v - 1 for v in self.rest_vars], n, q))
-        return LatinHypercube(n, q, bytes(_gather(self.outer.values, outer_index)))
+        parts = slabs(self.outer.values, q, q ** (self.outer.n - 1))
+        pi = inverse_permutation((0, *self.inner_vars, *self.rest_vars))
+        return LatinHypercube(n, q, _parastrophe(_substituted(parts, self.inner.values), n, q, pi))
 
 
 def factor_on_subset(cube: LatinHypercube, subset) -> TwoLevelComposition | None:
@@ -332,7 +346,7 @@ def factor_on_subset(cube: LatinHypercube, subset) -> TwoLevelComposition | None
         raise ValueError(f"subset must lie in 1..{n}")
     rest = tuple(v for v in range(1, n + 1) if v not in subset)
     # with the axes of S moved to the front, each column is one run
-    table = apply_parastrophe(cube, (0, *subset, *rest)).values
+    table = _parastrophe(cube.values, n, q, (0, *subset, *rest))
     block = q ** len(rest)
     columns = set()
     for start in range(0, len(table), block):

@@ -149,6 +149,11 @@ def _big_inputs():
     lam = lambda_z4(n)
     cube = gen_semilinear(lam)
     spec = random_tree(n, 4, random.Random(9))
+    # every left child holds all leaves but one, so each node's table has
+    # many more cells in its left child than in its right
+    deep = Leaf(n)
+    for v in range(n - 1, 0, -1):
+        deep = Node(addition_square(4), deep, Leaf(v))
     split = TwoLevelComposition(gen_semilinear(lambda_z4(5)), xor_cube(5), (1, 3, 5, 7, 9))
     return {
         "gen_iterated_group": lambda: gen_iterated_group(GroupKind.Z2X2, n, 4),
@@ -157,6 +162,7 @@ def _big_inputs():
         "apply_isotopy": lambda: apply_isotopy(cube, [(1, 3, 0, 2)] * (n + 1)),
         "apply_parastrophe": lambda: apply_parastrophe(cube, (2, 0, 1) + tuple(range(3, n + 1))),
         "compose": lambda: compose(spec),
+        "compose left-deep": lambda: compose(CompositionSpec(n, deep)),
         "TwoLevelComposition.compose": split.compose,
     }
 
@@ -164,7 +170,7 @@ def _big_inputs():
 @pytest.mark.parametrize(
     "name",
     ["gen_iterated_group", "gen_semilinear", "detect_semilinear", "apply_isotopy",
-     "apply_parastrophe", "compose", "TwoLevelComposition.compose"],
+     "apply_parastrophe", "compose", "compose left-deep", "TwoLevelComposition.compose"],
 )
 def test_builders_hold_no_per_cell_list(name):
     # the table itself takes 0.25 MB; one Python int per cell would take
@@ -238,6 +244,27 @@ def test_compose_output_is_latin():
         n = rng.choice([3, 4, 5])
         cube = compose(random_tree(n, 4, rng))
         assert validate_latin(cube).ok
+
+
+def _random_shape(variables, op, rng):
+    """A tree of op at every node, of random shape, over the leaves given,
+    left to right."""
+    if len(variables) == 1:
+        return Leaf(variables[0])
+    k = rng.randint(1, len(variables) - 1)
+    return Node(op, _random_shape(variables[:k], op, rng), _random_shape(variables[k:], op, rng))
+
+
+def test_xor_trees_of_arity_ten_are_the_iterated_group():
+    # 4**10 cells, past the cell-by-cell reference: XOR is associative and
+    # commutative, so every shape and leaf order gives x1 ^ .. ^ x10
+    n = 10
+    want = gen_iterated_group(GroupKind.Z2X2, n, 4)
+    for seed in range(4):
+        rng = random.Random(seed)
+        variables = list(range(1, n + 1))
+        rng.shuffle(variables)
+        assert compose(CompositionSpec(n, _random_shape(variables, xor_op(), rng))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +377,23 @@ def test_factor_roundtrip_on_example_cubes():
         split = find_factorization(cube)
         assert split is not None
         assert split.compose() == cube
+
+
+def test_two_level_split_of_arity_ten_round_trips():
+    # 4**10 cells, past the cell-by-cell reference: the factors read off
+    # the split's own subset compose to the same table
+    for seed in range(3):
+        split = random_two_level(10, 4, random.Random(seed))
+        cube = split.compose()
+        assert factor_on_subset(cube, split.inner_vars).compose() == cube
+
+
+def test_two_level_inner_vars_must_be_a_tuple():
+    assert TwoLevelComposition(xor_cube(2), xor_cube(2), (1, 3)).compose() == xor_cube(3)
+    with pytest.raises(ValueError, match=r"must be a strictly increasing tuple, got \[1, 3\]$"):
+        TwoLevelComposition(xor_cube(2), xor_cube(2), [1, 3])
+    with pytest.raises(ValueError, match=r"must be a strictly increasing tuple, got \(3, 1\)$"):
+        TwoLevelComposition(xor_cube(2), xor_cube(2), (3, 1))
 
 
 def test_factor_size_bounds():

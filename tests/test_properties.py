@@ -303,6 +303,9 @@ def test_parastrophe_matches_reference(shape, seed):
 
 @BUILDERS
 @given(shape=_builder_shapes(2), seed=seeds)
+@example(shape=(7, 1), seed=0)
+@example(shape=(4, 8), seed=0)
+@example(shape=(7, 4), seed=0)
 def test_compose_matches_reference(shape, seed):
     spec = random_tree(*shape, random.Random(seed))
     assert compose(spec).values == reference_compose(spec).values
@@ -321,6 +324,9 @@ def test_pinned_leaf_pair_op_matches_pinning_the_finished_tree(n, q, seed):
 
 @BUILDERS
 @given(shape=_builder_shapes(3), seed=seeds)
+@example(shape=(7, 1), seed=0)
+@example(shape=(4, 8), seed=0)
+@example(shape=(7, 4), seed=0)
 def test_two_level_compose_matches_reference(shape, seed):
     split = random_two_level(*shape, random.Random(seed))
     assert split.compose().values == reference_two_level(split).values
