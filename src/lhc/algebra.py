@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cache
-from itertools import combinations, repeat
-from operator import add, getitem
+from itertools import combinations
 from random import Random
 from typing import TYPE_CHECKING
 
-from .core import ENVELOPE_MAX_CELLS, EnvelopeError, LatinHypercube, Record, StructuralError, cell_sums, check_scale
+from .core import ENVELOPE_MAX_CELLS, EnvelopeError, LatinHypercube, Record, StructuralError, check_scale
 from .core import inverse_slabs, slabs
 
 if TYPE_CHECKING:
@@ -40,22 +39,6 @@ def inverse_permutation(perm) -> tuple[int, ...]:
     for i, v in enumerate(perm):
         inv[v] = i
     return tuple(inv)
-
-
-# ---------------------------------------------------------------------------
-# Streams over the cells of a table, in index order (see core.cell_sums), for
-# the factorization probe; every table is built as whole buffers
-# ---------------------------------------------------------------------------
-
-
-def _strided(strides, q: int) -> list[list[int]]:
-    """Per-axis weights x * stride, for cell_sums."""
-    return [[x * s for x in range(q)] for s in strides]
-
-
-def _gather(table, indices):
-    """table[i] for each i; unlike bytes.__getitem__, no argument tuple per item."""
-    return map(getitem, repeat(table), indices)
 
 
 # ---------------------------------------------------------------------------
@@ -369,90 +352,57 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
     parastrophic split.  Cubes above the search envelope's cell bound are
     refused before any subset is tried.
 
-    S can be a block only if its q^|S| columns take at most q distinct
-    values, and parts of the columns cannot take more values than the
-    whole columns do.  So each subset that passes _restriction_screen is
-    probed: a small S has every column read at a few rest points, a large S
-    has a few columns read in full, and more than q distinct readings rule
-    S out.  The subsets that survive go to factor_on_subset in sweep order,
-    so the result is the one the plain sweep gives.
+    Only the subsets that pass _restriction_screen, a necessary condition,
+    go to factor_on_subset, in sweep order, so the result is the one the
+    plain sweep gives.
     """
-    n, q, values = cube.n, cube.q, cube.values
+    n = cube.n
     if n < 3:
         raise ValueError(f"reducibility needs arity >= 3, got {n}")
     if cube.size > ENVELOPE_MAX_CELLS:
         raise EnvelopeError(f"factorization supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
     screen = _restriction_screen(cube)
-    rng = Random(0)
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
-            if not screen(subset):
-                continue
-            inner = [q ** (n - v) for v in subset]
-            rest = [q ** (n - v) for v in range(1, n + 1) if v not in subset]
-            if size <= n - size:
-                bases = cell_sums(_strided(inner, q))
-                offsets = list(_probe_offsets(rest, q, _PROBES, rng))
-            else:
-                bases = _probe_offsets(inner, q, _PROBES * q, rng)
-                offsets = list(cell_sums(_strided(rest, q)))
-            if _distinct_columns(values, q, bases, offsets) is None:
-                continue
-            fac = factor_on_subset(cube, subset)
-            if fac is not None:
-                return fac
+            if screen(subset):
+                fac = factor_on_subset(cube, subset)
+                if fac is not None:
+                    return fac
     return None
+
+
+# Corners drawn at random for _restriction_screen, besides every input at
+# 0 and every input at q-1.
+_RANDOM_CORNERS = 30
 
 
 def _restriction_screen(cube: LatinHypercube):
     """A test that every block S passes: for all i < j in S and k outside
     it, {i, j} is a block of the ternary restriction to (x_i, x_j, x_k) with
-    the other inputs all at 0, and all at q-1, since fixing them turns
-    outer(inner(x_S), x_rest) into G(H(x_i, x_j), x_k).  Each triple is
-    read once, when first asked for."""
+    the other inputs fixed at a corner, since fixing them anywhere turns
+    outer(inner(x_S), x_rest) into G(H(x_i, x_j), x_k).  The corners are
+    every input at 0, every input at q-1 and _RANDOM_CORNERS drawn from a
+    fixed seed, so every run does the same work.  Each triple is read once,
+    when first asked for."""
     n, q, values = cube.n, cube.q, cube.values
     stride = [q ** (n - v) for v in range(n + 1)]
-    top = (q - 1) * sum(stride[1:])  # every input at q-1
+    rng = Random(0)
+    corners = [0, len(values) - 1, *(rng.randrange(len(values)) for _ in range(_RANDOM_CORNERS))]
 
     @cache
     def block(i: int, j: int, k: int) -> bool:
         si, sj, sk = stride[i], stride[j], stride[k]
-        for corner in (0, top - (q - 1) * (si + sj + sk)):
+        plane = [x * si + y * sj for x in range(q) for y in range(q)]
+        # the corners with x_i, x_j and x_k at 0, each once, in order
+        for start in dict.fromkeys(c - c // si % q * si - c // sj % q * sj - c // sk % q * sk for c in corners):
             # the column over x_k at each (x_i, x_j) is an extended slice
-            bases = [corner + x * si + y * sj for x in range(q) for y in range(q)]
-            if len({values[b : b + q * sk : sk] for b in bases}) > q:
+            if len({values[start + b : start + b + q * sk : sk] for b in plane}) > q:
                 return False
         return True
 
     return lambda subset: all(
         block(i, j, k) for i, j in combinations(subset, 2) for k in range(1, n + 1) if k not in subset
     )
-
-
-# Rest points read per column of a small subset; a large subset has
-# q times as many columns read in full.
-_PROBES = 4
-
-
-def _probe_offsets(strides, q: int, count: int, rng: Random):
-    """Offsets of `count` distinct assignments to the axes of `strides`,
-    drawn at random, or of all of them when there are no more; computed
-    as they are consumed."""
-    total = q ** len(strides)
-    if total <= count:
-        return cell_sums(_strided(strides, q))
-    return (sum(k // q**j % q * s for j, s in enumerate(strides)) for k in rng.sample(range(total), count))
-
-
-def _distinct_columns(values: bytes, q: int, bases, offsets) -> set[bytes] | None:
-    """The distinct readings of values at base + offsets, one per base, or
-    None as soon as there are more than q of them."""
-    seen: set[bytes] = set()
-    for base in bases:
-        seen.add(bytes(_gather(values, map(add, repeat(base), offsets))))
-        if len(seen) > q:
-            return None
-    return seen
 
 
 # ---------------------------------------------------------------------------

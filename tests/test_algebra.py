@@ -20,6 +20,7 @@ from helpers import (
 )
 from lhc import (
     BinaryOp,
+    BooleanFn,
     CompositionSpec,
     GroupKind,
     LatinHypercube,
@@ -430,10 +431,8 @@ def test_is_reducible_matches_parastrophe_sweep_oracle():
         assert (find_factorization(cube) is not None) == parastrophe_sweep_reducible(cube)
 
 
-def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch):
-    # an irreducible arity-8 cube: the plain sweep reads the whole cube for
-    # each of its 246 subsets, the cheap probes leave few of them to check
-    cube = gen_semilinear(random_lambda(8, random.Random(1)))
+def _exact_checks(monkeypatch) -> list:
+    """The subsets find_factorization passes to factor_on_subset from now on."""
     calls = []
 
     def counted(c, subset):
@@ -441,24 +440,42 @@ def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch
         return factor_on_subset(c, subset)
 
     monkeypatch.setattr(algebra, "factor_on_subset", counted)
-    assert find_factorization(cube) is None
-    assert len(calls) < 25
+    return calls
+
+
+def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch):
+    # irreducible cubes: the plain sweep reads the whole cube for each of
+    # the 246 subsets at arity 8 and 501 at arity 9, the restriction screen
+    # rules out every one; lambda the majority of nine inputs passes it at
+    # the two fixed corners for every subset, and fails at a random one
+    cubes = [
+        gen_semilinear(random_lambda(8, random.Random(1))),
+        gen_semilinear(BooleanFn(9, tuple(int(z.bit_count() >= 5) for z in range(512)))),
+    ]
+    calls = _exact_checks(monkeypatch)
+    for cube in cubes:
+        assert find_factorization(cube) is None
+    assert calls == []
 
 
 def test_factorization_of_the_and_lambda_needs_no_exact_check(monkeypatch):
     # lambda the AND of all inputs differs from an affine one in one point
-    # of 256, which the random probe rarely reads (189 exact checks without
-    # the screen); every ternary restriction at the all-3 corner is the
+    # of 256; every ternary restriction at the all-3 corner is the
     # irreducible arity-3 AND cube, so the screen rules out every subset
     cube = gen_semilinear(lambda_from_string("0" * 255 + "1"))
-    calls = []
-
-    def counted(c, subset):
-        calls.append(subset)
-        return factor_on_subset(c, subset)
-
-    monkeypatch.setattr(algebra, "factor_on_subset", counted)
+    calls = _exact_checks(monkeypatch)
     assert find_factorization(cube) is None
+    assert calls == []
+
+
+def test_factorization_of_one_point_lambdas_needs_no_exact_check(monkeypatch):
+    # a lambda with a single one is near affine: the restrictions at the
+    # all-0 and all-3 corners alone let 6062 subsets through to the exact
+    # check over these 128 cubes, the random corners of the screen none
+    calls = _exact_checks(monkeypatch)
+    for point in range(128):
+        bits = tuple(int(z == point) for z in range(128))
+        assert find_factorization(gen_semilinear(BooleanFn(7, bits))) is None
     assert calls == []
 
 

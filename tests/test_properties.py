@@ -363,13 +363,20 @@ def test_detect_semilinear_matches_reference(n, how, seed):
 
 
 # ---------------------------------------------------------------------------
-# Factorization by cheap rejection against the plain sweep
+# Factorization through the restriction screen against the plain sweep
 # ---------------------------------------------------------------------------
 
 
 def _factorization_instance(n, q, how, rng):
     if how == "semilinear":
         return gen_semilinear(random_lambda(n, rng))
+    if how == "sparse semilinear":
+        # near affine, with the ones mostly off the screen's fixed corners
+        ones = rng.sample(range(1 << n), rng.randint(1, 3))
+        cube = gen_semilinear(BooleanFn(n, tuple(int(z in ones) for z in range(1 << n))))
+        if rng.random() < 0.5:
+            cube = apply_transform(cube, random_transform(n, 4, rng))
+        return cube
     if how == "random":
         return random_quasigroup(n, q, rng)
     if how == "two-level":
@@ -380,7 +387,9 @@ def _factorization_instance(n, q, how, rng):
     return cube
 
 
-FACTORIZATION_KINDS = st.sampled_from(["tree", "random", "transformed tree", "semilinear", "two-level"])
+FACTORIZATION_KINDS = st.sampled_from(
+    ["tree", "random", "transformed tree", "semilinear", "sparse semilinear", "two-level"]
+)
 
 
 @PROPERTY
