@@ -352,16 +352,23 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
     parastrophic split.  Cubes above the search envelope's cell bound are
     refused before any subset is tried.
 
-    Only the subsets that pass _restriction_screen, a necessary condition,
-    go to factor_on_subset, in sweep order, so the result is the one the
-    plain sweep gives.
+    Only the subsets that pass a screen go to factor_on_subset, in sweep
+    order, so the result is the one the plain sweep gives.  The screen of a
+    standard semilinear cube is the exact block test on its lam, so the
+    first subset it passes is a block; any other cube has
+    _restriction_screen, a necessary condition.
     """
     n = cube.n
     if n < 3:
         raise ValueError(f"reducibility needs arity >= 3, got {n}")
     if cube.size > ENVELOPE_MAX_CELLS:
         raise EnvelopeError(f"factorization supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
-    screen = _restriction_screen(cube)
+    lam = None
+    if cube.q == 4:
+        from .semilinear import _block_test, detect_semilinear
+
+        lam = detect_semilinear(cube)
+    screen = _restriction_screen(cube) if lam is None else _block_test(lam)
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
             if screen(subset):

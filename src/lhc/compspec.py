@@ -24,143 +24,107 @@ from .core import ParseError, StructuralError, _tokens
 _TOKEN = re.compile(r"\(|\)|\"[^\"]*\"|[^\s()\"]+|\"")  # a lone " is a token too
 
 
-class _Reader:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.q = None  # the order of the first operation table
-        self.leaves: list[int] = []  # the k of every (var k) read so far
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else ("", 1, 1)
-            raise ParseError("unexpected end of input", last[1], last[2])
-        self.pos += 1
-        return tok
-
-    def expect(self, text):
-        tok = self.next()
-        if tok[0] != text:
-            raise ParseError(f"expected {text!r}, got {tok[0]!r}", tok[1], tok[2])
-        return tok
-
-
-def _parse_int(tok):
-    try:
-        return int(tok[0])
-    except ValueError:
-        raise ParseError(f"expected an integer, got {tok[0]!r}", tok[1], tok[2]) from None
-
-
-def _parse_quoted(reader, what):
-    tok = reader.next()
-    if not (tok[0].startswith('"') and tok[0].endswith('"')):
-        raise ParseError(f"expected a quoted {what}, got {tok[0]!r}", tok[1], tok[2])
-    return tok[0][1:-1], tok[1], tok[2]
-
-
-def _parse_expr(reader):
-    reader.expect("(")
-    head = reader.next()
-    if head[0] == "var":
-        var = _parse_int(reader.next())
-        if var < 1:
-            raise ParseError(f"variable index must be >= 1, got {var}", head[1], head[2])
-        reader.expect(")")
-        reader.leaves.append(var)
-        return Leaf(var)
-    if head[0] == "op":
-        body, ln, col = _parse_quoted(reader, "operation table")
-        entries = body.split()
-        q = math.isqrt(len(entries))
-        if q * q != len(entries) or q < 1:
-            raise ParseError(f"operation table needs q*q entries, got {len(entries)}", ln, col)
-        try:
-            flat = [int(e) for e in entries]
-        except ValueError:
-            raise ParseError("operation table entries must be integers", ln, col) from None
-        try:
-            op = BinaryOp.from_flat(q, flat)
-        except StructuralError as e:
-            raise ParseError(str(e), ln, col) from None
-        if reader.q is None:
-            reader.q = q
-        elif q != reader.q:
-            raise ParseError(f"operation table has order {q}, the first one has order {reader.q}", ln, col)
-        left = _parse_expr(reader)
-        right = _parse_expr(reader)
-        reader.expect(")")
-        return Node(op, left, right)
-    raise ParseError(f"expected 'var' or 'op', got {head[0]!r}", head[1], head[2])
-
-
-def _parse_perm_string(s, q, ln, col):
-    parts = s.split(",")
-    try:
-        perm = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad permutation {s!r}", ln, col) from None
-    if sorted(perm) != list(range(q)):
-        raise ParseError(f"{s!r} is not a permutation of 0..{q - 1}", ln, col)
-    return perm
-
-
 def parse_composition_spec(text: str) -> CompositionSpec:
     tokens = _tokens(text, _TOKEN)
     if not tokens:
         raise ParseError("empty composition spec", 1, 1)
-    reader = _Reader(tokens)
-    root = _parse_expr(reader)
-    leaves = sorted(reader.leaves)
+    pos = 0
+    q = None  # the order of the first operation table
+    leaves: list[int] = []  # the k of every (var k) read so far
+
+    def take(want=None):
+        nonlocal pos
+        if pos == len(tokens):
+            raise ParseError("unexpected end of input", *tokens[-1][1:])
+        tok = tokens[pos]
+        pos += 1
+        if want is not None and tok[0] != want:
+            raise ParseError(f"expected {want!r}, got {tok[0]!r}", *tok[1:])
+        return tok
+
+    def integer():
+        tok = take()
+        try:
+            return int(tok[0])
+        except ValueError:
+            raise ParseError(f"expected an integer, got {tok[0]!r}", *tok[1:]) from None
+
+    def quoted(what):
+        tok = take()
+        if not (tok[0].startswith('"') and tok[0].endswith('"')):
+            raise ParseError(f"expected a quoted {what}, got {tok[0]!r}", *tok[1:])
+        return tok[0][1:-1], tok[1:]
+
+    def expr():
+        nonlocal q
+        take("(")
+        head = take()
+        if head[0] == "var":
+            var = integer()
+            if var < 1:
+                raise ParseError(f"variable index must be >= 1, got {var}", *head[1:])
+            take(")")
+            leaves.append(var)
+            return Leaf(var)
+        if head[0] != "op":
+            raise ParseError(f"expected 'var' or 'op', got {head[0]!r}", *head[1:])
+        body, at = quoted("operation table")
+        entries = body.split()
+        order = math.isqrt(len(entries))
+        if order * order != len(entries) or order < 1:
+            raise ParseError(f"operation table needs q*q entries, got {len(entries)}", *at)
+        try:
+            op = BinaryOp.from_flat(order, [int(e) for e in entries])
+        except ValueError:
+            raise ParseError("operation table entries must be integers", *at) from None
+        except StructuralError as e:
+            raise ParseError(str(e), *at) from None
+        if q is None:
+            q = order
+        elif order != q:
+            raise ParseError(f"operation table has order {order}, the first one has order {q}", *at)
+        node = Node(op, expr(), expr())
+        take(")")
+        return node
+
+    root = expr()
+    leaves.sort()
     n = len(leaves)
     if leaves != list(range(1, n + 1)):
-        tok = tokens[0]
-        raise ParseError(f"leaf labels {leaves} are not 1..{n}", tok[1], tok[2])
-    if reader.q is None:
+        raise ParseError(f"leaf labels {leaves} are not 1..{n}", *tokens[0][1:])
+    if q is None:
         raise ParseError("a composition needs at least one operation node", 1, 1)
-    q = reader.q
 
-    parastrophe = None
-    isotopy = None
-    while reader.peek() is not None:
-        reader.expect("(")
-        head = reader.next()
-        if head[0] == "parastrophe":
-            if parastrophe is not None:
-                raise ParseError("duplicate parastrophe clause", head[1], head[2])
-            images = []
-            while reader.peek() and reader.peek()[0] != ")":
-                images.append(_parse_int(reader.next()))
-            reader.expect(")")
-            if sorted(images) != list(range(n + 1)):
-                raise ParseError(
-                    f"parastrophe must be a permutation of 0..{n}", head[1], head[2]
-                )
-            parastrophe = tuple(images)
-        elif head[0] == "isotopy":
-            if isotopy is not None:
-                raise ParseError("duplicate isotopy clause", head[1], head[2])
-            perms = []
-            while reader.peek() and reader.peek()[0] != ")":
-                s, ln, col = _parse_quoted(reader, "permutation")
-                perms.append(_parse_perm_string(s, q, ln, col))
-            reader.expect(")")
-            if len(perms) != n + 1:
-                raise ParseError(f"isotopy needs {n + 1} permutations", head[1], head[2])
-            isotopy = tuple(perms)
-        else:
-            raise ParseError(
-                f"expected 'parastrophe' or 'isotopy' clause, got {head[0]!r}",
-                head[1],
-                head[2],
-            )
-    transform = None
-    if isotopy is not None or parastrophe is not None:
-        transform = TransformSpec(isotopy, parastrophe)
+    # the two transform clauses, each at most once and in either order
+    clauses = {}
+    while pos < len(tokens):
+        take("(")
+        head = take()
+        kind = head[0]
+        if kind not in ("parastrophe", "isotopy"):
+            raise ParseError(f"expected 'parastrophe' or 'isotopy' clause, got {kind!r}", *head[1:])
+        if kind in clauses:
+            raise ParseError(f"duplicate {kind} clause", *head[1:])
+        items = []
+        while pos < len(tokens) and tokens[pos][0] != ")":
+            if kind == "parastrophe":
+                items.append(integer())
+                continue
+            s, at = quoted("permutation")
+            try:
+                perm = tuple(int(p) for p in s.split(","))
+            except ValueError:
+                raise ParseError(f"bad permutation {s!r}", *at) from None
+            if sorted(perm) != list(range(q)):
+                raise ParseError(f"{s!r} is not a permutation of 0..{q - 1}", *at)
+            items.append(perm)
+        take(")")
+        if kind == "parastrophe" and sorted(items) != list(range(n + 1)):
+            raise ParseError(f"parastrophe must be a permutation of 0..{n}", *head[1:])
+        if kind == "isotopy" and len(items) != n + 1:
+            raise ParseError(f"isotopy needs {n + 1} permutations", *head[1:])
+        clauses[kind] = tuple(items)
+    transform = TransformSpec(clauses.get("isotopy"), clauses.get("parastrophe")) if clauses else None
     return CompositionSpec(n, root, transform)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 from .core import (
@@ -361,6 +362,25 @@ def _odd_cosets(shifts: list[int], directions) -> int:
     at its four y."""
     s = shifts[0]
     return sum((s ^ shifts[e] ^ shifts[f] ^ shifts[g]).bit_count() for e, f, g in directions) >> 2
+
+
+def _block_test(lam: BooleanFn):
+    """The exact test of an input subset S as a block of gen_semilinear(lam):
+    for all i < j in S and k outside it, lam sums to 0 on every coset
+    y + {0, e, f, e ^ f} with e = e_i ^ e_j and f = e_k, variable v at bit
+    1 << (n - v).  Each triple is read once, when first asked for."""
+    n = lam.n
+    shifts = _shifts(lam)
+    bit = [1 << (n - v) for v in range(n + 1)]
+
+    @lru_cache(maxsize=None)
+    def odd(i: int, j: int, k: int) -> int:
+        e = bit[i] | bit[j]
+        return _odd_cosets(shifts, [(e, bit[k], e | bit[k])])
+
+    return lambda subset: not any(
+        odd(i, j, k) for i, j in combinations(subset, 2) for k in range(1, n + 1) if k not in subset
+    )
 
 
 def _zero_sum_brindled(lam: BooleanFn, shifts: list[int] | None = None) -> int:

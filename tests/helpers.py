@@ -53,11 +53,11 @@ def lambda_from_string(s: str) -> BooleanFn:
 
 def brute_force_transversals(cube) -> set:
     """Every transversal of a cube with n <= 2 (at most 8! permutations), or
-    q <= 4 and n <= 3, found by trying all permutations of the inputs: cell
+    q <= 5 and n <= 3, found by trying all permutations of the inputs: cell
     k takes x1 = k and xi = p_i(k)."""
     n, q = cube.n, cube.q
-    if n > (3 if q <= 4 else 2):
-        raise ValueError(f"brute force is for n <= 2, or q <= 4 and n <= 3, got q={q} n={n}")
+    if n > (3 if q <= 5 else 2):
+        raise ValueError(f"brute force is for n <= 2, or q <= 5 and n <= 3, got q={q} n={n}")
     found = set()
     for perms in product(permutations(range(q)), repeat=n - 1):
         inputs = [(k,) + tuple(p[k] for p in perms) for k in range(q)]
@@ -337,6 +337,27 @@ def reference_factor_on_subset(cube, subset):
     return TwoLevelComposition(outer, inner, subset)
 
 
+def all_corner_block_test(cube, subset) -> bool:
+    """S passes when, for all i < j in S and k outside it, {i, j} is a block
+    of the restriction to (x_i, x_j, x_k) with the other inputs fixed at
+    every corner in turn: its q^2 columns over x_k take at most q values.
+    That is exact for standard semilinear cubes and observed, not proved,
+    on every other kind, a second route to factor_on_subset that sweeps no
+    column classes of the whole table."""
+    n, q, values = cube.n, cube.q, cube.values
+    stride = [q ** (n - v) for v in range(n + 1)]
+    for i, j in combinations(subset, 2):
+        for k in (v for v in range(1, n + 1) if v not in subset):
+            others = [stride[v] for v in range(1, n + 1) if v not in (i, j, k)]
+            column = [stride[k] * c for c in range(q)]
+            plane = [stride[i] * a + stride[j] * b for a in range(q) for b in range(q)]
+            for corner in product(range(q), repeat=n - 3):
+                start = sum(x * s for x, s in zip(corner, others))
+                if len({bytes(values[start + b + c] for c in column) for b in plane}) > q:
+                    return False
+    return True
+
+
 def reference_find_factorization(cube):
     """reference_factor_on_subset on every input subset, smallest first;
     the first factorization found."""
@@ -347,3 +368,43 @@ def reference_find_factorization(cube):
             if fac is not None:
                 return fac
     return None
+
+
+# ---------------------------------------------------------------------------
+# Cubes outside the composition trees and the semilinear family
+# ---------------------------------------------------------------------------
+
+
+def generic_cube(n: int, q: int, rng, max_steps: int = 200_000):
+    """A latin hypercube filled cell by cell in index order: each cell tries
+    the symbols free on its n lines in a shuffled order, and a cell with
+    none left sends the search back one cell.  None when max_steps symbol
+    placements do not finish the table."""
+    size = q**n
+    strides = [q ** (n - a) for a in range(1, n + 1)]
+    # the index of the line along each axis through each cell
+    lines = [[idx // (s * q) * s + idx % s for s in strides] for idx in range(size)]
+    used = [[0] * (size // q) for _ in strides]  # the symbols on each line
+    values = bytearray(size)
+    options: list = [None] * size
+    idx = steps = 0
+    while idx < size:
+        if options[idx] is None:
+            options[idx] = [v for v in range(q) if not any(u[line] >> v & 1 for u, line in zip(used, lines[idx]))]
+            rng.shuffle(options[idx])
+        if not options[idx]:
+            options[idx] = None
+            idx -= 1
+            if idx < 0:
+                return None
+            for u, line in zip(used, lines[idx]):
+                u[line] ^= 1 << values[idx]
+            continue
+        steps += 1
+        if steps > max_steps:
+            return None
+        values[idx] = options[idx].pop()
+        for u, line in zip(used, lines[idx]):
+            u[line] |= 1 << values[idx]
+        idx += 1
+    return LatinHypercube(n, q, bytes(values))

@@ -443,11 +443,20 @@ def _exact_checks(monkeypatch) -> list:
     return calls
 
 
+def _restriction_passes(cube) -> list:
+    """The subsets that pass _restriction_screen, the screen find_factorization
+    uses on every cube whose lambda it cannot read (an isotoped semilinear
+    cube, say); a standard semilinear cube gets the exact test on lambda."""
+    screen = algebra._restriction_screen(cube)
+    return [s for size in range(2, cube.n) for s in combinations(range(1, cube.n + 1), size) if screen(s)]
+
+
 def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch):
     # irreducible cubes: the plain sweep reads the whole cube for each of
-    # the 246 subsets at arity 8 and 501 at arity 9, the restriction screen
-    # rules out every one; lambda the majority of nine inputs passes it at
-    # the two fixed corners for every subset, and fails at a random one
+    # the 246 subsets at arity 8 and 501 at arity 9, and both screens rule
+    # out every one; lambda the majority of nine inputs passes the
+    # restriction screen at the two fixed corners for every subset, and
+    # fails at a random one
     cubes = [
         gen_semilinear(random_lambda(8, random.Random(1))),
         gen_semilinear(BooleanFn(9, tuple(int(z.bit_count() >= 5) for z in range(512)))),
@@ -455,28 +464,49 @@ def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch
     calls = _exact_checks(monkeypatch)
     for cube in cubes:
         assert find_factorization(cube) is None
+        assert _restriction_passes(cube) == []
     assert calls == []
 
 
 def test_factorization_of_the_and_lambda_needs_no_exact_check(monkeypatch):
     # lambda the AND of all inputs differs from an affine one in one point
     # of 256; every ternary restriction at the all-3 corner is the
-    # irreducible arity-3 AND cube, so the screen rules out every subset
+    # irreducible arity-3 AND cube, so both screens rule out every subset
     cube = gen_semilinear(lambda_from_string("0" * 255 + "1"))
     calls = _exact_checks(monkeypatch)
     assert find_factorization(cube) is None
     assert calls == []
+    assert _restriction_passes(cube) == []
 
 
 def test_factorization_of_one_point_lambdas_needs_no_exact_check(monkeypatch):
     # a lambda with a single one is near affine: the restrictions at the
     # all-0 and all-3 corners alone let 6062 subsets through to the exact
-    # check over these 128 cubes, the random corners of the screen none
+    # check over these 128 cubes, the random corners of the restriction
+    # screen none, and the test on lambda none either
     calls = _exact_checks(monkeypatch)
     for point in range(128):
-        bits = tuple(int(z == point) for z in range(128))
-        assert find_factorization(gen_semilinear(BooleanFn(7, bits))) is None
+        cube = gen_semilinear(BooleanFn(7, tuple(int(z == point) for z in range(128))))
+        assert find_factorization(cube) is None
+        assert _restriction_passes(cube) == []
     assert calls == []
+
+
+def test_factorization_of_a_standard_semilinear_cube_reads_lambda(monkeypatch):
+    # the arity-10 lambda that is 1 only at 0010010011 passes the
+    # restriction screen on all 1012 subsets (10 s of exact checks); the
+    # exact test on lambda passes none of them
+    calls = _exact_checks(monkeypatch)
+    assert find_factorization(gen_semilinear(lambda_from_string("0" * 147 + "1" + "0" * 876))) is None
+    assert calls == []
+    # AND(h1..h5, h6 ^ h7 ^ h8): the first block in sweep order is {6, 7},
+    # and the one exact check, for the witness, is made there
+    bits = tuple(int(z >> 3 == 31 and (z & 7).bit_count() % 2) for z in range(256))
+    cube = gen_semilinear(BooleanFn(8, bits))
+    found = find_factorization(cube)
+    assert calls == [(6, 7)]
+    sweep = (factor_on_subset(cube, s) for size in range(2, 8) for s in combinations(range(1, 9), size))
+    assert found == next(f for f in sweep if f is not None)
 
 
 def test_factorization_of_the_and_lambda_matches_the_plain_sweep():

@@ -77,6 +77,15 @@ def test_parse_errors():
 
 OP = f'(op "{XOR_TABLE}" (var 1) (var 2))'
 ID3 = '"0,1,2,3" "0,1,2,3"'
+I3 = f'{ID3} "0,1,2,3"'
+
+
+def test_clauses_parse_in_either_order():
+    first = parse_composition_spec(f"{OP}\n(parastrophe 1 0 2)\n(isotopy {I3})")
+    second = parse_composition_spec(f"{OP}\n(isotopy {I3})\n(parastrophe 1 0 2)")
+    assert first == second
+    assert second.post_transform == TransformSpec(((0, 1, 2, 3),) * 3, (1, 0, 2))
+
 
 # (text, message, line, column) recorded from the parser as it stood before
 # the three text formats shared one tokenizer; every text keeps its error.
@@ -93,6 +102,9 @@ MALFORMED = [
      "parastrophe must be a permutation of 0..2", 5, 2),
     (f"{OP}\n(parastrophe 0 1 2)\n(parastrophe 0 1 2)", "duplicate parastrophe clause", 3, 2),
     (f"{OP}\n(isotopy {ID3})\n(isotopy {ID3} {ID3})", "isotopy needs 3 permutations", 2, 2),
+    (f"{OP}\n(isotopy {I3})\n(isotopy {I3})", "duplicate isotopy clause", 3, 2),
+    (f"{OP} (parastrophe 0 x 2)", "expected an integer, got 'x'", 1, 71),
+    (f"{OP} (isotopy 0,1,2,3 {ID3})", "expected a quoted permutation, got '0,1,2,3'", 1, 65),
     (f'{OP} (isotopy "0,1,x,3" {ID3})', "bad permutation '0,1,x,3'", 1, 65),
     (f'{OP} (isotopy "0,1,1,3" {ID3})', "'0,1,1,3' is not a permutation of 0..3", 1, 65),
     (f'{OP} (isotopy "0,1,2,3")', "isotopy needs 3 permutations", 1, 57),

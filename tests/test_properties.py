@@ -1,9 +1,12 @@
 """Property tests: the exact engine against a brute-force oracle and the
 formula counter, on cubes drawn from randgen (among them shapes where the
-half tables key their levels); the work budget's early refusal against
+half tables key their levels) and on generic order-5 cubes, which are
+neither composition trees nor semilinear; the work budget's early refusal against
 the total an unbounded count books; the whole-buffer file routines
 and table builders against their cell-by-cell references; the
-factorization search against the plain subset sweep; the zero-sum
+factorization search against the plain subset sweep, and the exact block
+tests against the all-corner ternary test and, for standard semilinear
+cubes, the test read from lambda; the zero-sum
 brindled count and the plane parity against the listed quadruples and
 planes, and the `lhc quadruples` report against both counters; the bucketing by
 block quadruple against one Quadruple per transversal; the count's
@@ -16,13 +19,16 @@ import io
 import random
 from contextlib import redirect_stdout
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_corner_block_test,
     brute_force_transversals,
+    generic_cube,
     reference_brindled_ints,
     reference_compose,
     reference_detect_semilinear,
@@ -88,25 +94,53 @@ from lhc.randgen import (
     random_tree,
     random_two_level,
 )
-from lhc.semilinear import _zero_sum_brindled
+from lhc.semilinear import _block_test, _zero_sum_brindled
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 seeds = st.integers(0, 2**32 - 1)
 
 
+def _generic_cube(rng):
+    """A generic q=5, n=3 cube; a try that reaches the step cap starts
+    afresh from where the generator left rng."""
+    while True:
+        cube = generic_cube(3, 5, rng, max_steps=20_000)
+        if cube is not None:
+            return cube
+
+
+@lru_cache(maxsize=None)
+def _generic_arity_four():
+    # four seeds whose q=5, n=4 tables finish under the 200k-step cap,
+    # in about 1.2 s in all; 14 and 17 give irreducible cubes
+    return tuple(generic_cube(4, 5, random.Random(seed)) for seed in (5, 14, 17, 18))
+
+
 @PROPERTY
-@given(shape=st.sampled_from([(q, n) for q in range(1, 6) for n in range(1, 4) if q < 5 or n < 3]), seed=seeds)
+@given(shape=st.sampled_from([(q, n) for q in range(1, 6) for n in range(1, 4)]), seed=seeds)
 def test_count_and_enumeration_match_brute_force(shape, seed):
     # order 1 lists from a one-class tail table, order 5 yields from the
-    # third depth-first level
+    # third depth-first level; q=5, n=3 is a generic cube
     q, n = shape
-    cube = random_quasigroup(n, q, random.Random(seed))
+    rng = random.Random(seed)
+    cube = _generic_cube(rng) if shape == (5, 3) else random_quasigroup(n, q, rng)
     listed = list(enumerate_transversals(cube))
     oracle = brute_force_transversals(cube)
     assert count_transversals(cube) == len(oracle) == len(listed)
     assert set(listed) == oracle
     flattened = [sum(t.cells, ()) for t in listed]
     assert all(a < b for a, b in zip(flattened, flattened[1:]))
+
+
+def test_generic_arity_four_count_matches_the_enumeration():
+    # too many permutation triples for the brute force: the listed
+    # transversals are distinct (strictly increasing) and verify
+    for cube in _generic_arity_four():
+        listed = list(enumerate_transversals(cube))
+        assert count_transversals(cube) == len(listed)
+        flattened = [sum(t.cells, ()) for t in listed]
+        assert all(a < b for a, b in zip(flattened, flattened[1:]))
+        assert all(verify_transversal(cube, t) for t in listed[::50])
 
 
 @PROPERTY
@@ -367,16 +401,23 @@ def test_detect_semilinear_matches_reference(n, how, seed):
 # ---------------------------------------------------------------------------
 
 
+def _sparse_lambda(n, rng):
+    # near affine, with the ones mostly off the screen's fixed corners
+    ones = rng.sample(range(1 << n), rng.randint(1, 3))
+    return BooleanFn(n, tuple(int(z in ones) for z in range(1 << n)))
+
+
 def _factorization_instance(n, q, how, rng):
     if how == "semilinear":
         return gen_semilinear(random_lambda(n, rng))
     if how == "sparse semilinear":
-        # near affine, with the ones mostly off the screen's fixed corners
-        ones = rng.sample(range(1 << n), rng.randint(1, 3))
-        cube = gen_semilinear(BooleanFn(n, tuple(int(z in ones) for z in range(1 << n))))
+        # half of them transformed, which hides lambda from find_factorization
+        cube = gen_semilinear(_sparse_lambda(n, rng))
         if rng.random() < 0.5:
             cube = apply_transform(cube, random_transform(n, 4, rng))
         return cube
+    if how == "generic":
+        return _generic_cube(rng) if n == 3 else rng.choice(_generic_arity_four())
     if how == "random":
         return random_quasigroup(n, q, rng)
     if how == "two-level":
@@ -388,7 +429,7 @@ def _factorization_instance(n, q, how, rng):
 
 
 FACTORIZATION_KINDS = st.sampled_from(
-    ["tree", "random", "transformed tree", "semilinear", "sparse semilinear", "two-level"]
+    ["tree", "random", "transformed tree", "semilinear", "sparse semilinear", "two-level", "generic"]
 )
 
 
@@ -418,13 +459,42 @@ def test_restriction_screen_keeps_every_block(n, q, seed):
 def test_factor_on_subset_matches_signature_loop(n, q, how, seed):
     rng = random.Random(seed)
     cube = _factorization_instance(n, q, how, rng)
+    n = cube.n  # a generic cube has arity 3 or 4
     subsets = [rng.sample(range(1, n + 1), rng.randint(2, n - 1)) for _ in range(4)]
     found = find_factorization(cube)
     if found is not None:
         subsets.append(found.inner_vars)  # one subset that does factor
     for subset in subsets:
         # equal outer, inner and inner_vars, or None for both
-        assert factor_on_subset(cube, subset) == reference_factor_on_subset(cube, subset)
+        found = factor_on_subset(cube, subset)
+        assert found == reference_factor_on_subset(cube, subset)
+        assert (found is not None) == all_corner_block_test(cube, subset)
+
+
+def _decomposable_lambda(n, rng):
+    """alpha(h_S) ^ beta(parity of h_S, h_rest) for a random S, so that S is
+    a block of gen_semilinear of it."""
+    subset = rng.sample(range(n), rng.randint(2, n - 1))
+    alpha, beta = {}, {}
+    bits = []
+    for z in range(1 << n):
+        h = [z >> (n - 1 - p) & 1 for p in range(n)]
+        inner = tuple(h[p] for p in subset)
+        rest = (sum(inner) & 1, *(h[p] for p in range(n) if p not in subset))
+        bits.append(alpha.setdefault(inner, rng.randrange(2)) ^ beta.setdefault(rest, rng.randrange(2)))
+    return BooleanFn(n, tuple(bits))
+
+
+@PROPERTY
+@given(n=st.integers(3, 6), how=st.sampled_from([random_lambda, _sparse_lambda, _decomposable_lambda]),
+       seed=seeds)
+def test_lambda_block_test_matches_factor_on_subset(n, how, seed):
+    lam = how(n, random.Random(seed))
+    cube = gen_semilinear(lam)
+    passes = _block_test(lam)
+    for size in range(2, n):
+        for subset in combinations(range(1, n + 1), size):
+            assert passes(subset) == (factor_on_subset(cube, subset) is not None)
 
 
 # ---------------------------------------------------------------------------
