@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator
 
 from .core import (
@@ -219,8 +219,9 @@ def _low_submasks(x: int) -> Iterator[int]:
 
 def _brindled_rows(n: int) -> Iterator[tuple[int, int, int, int]]:
     """Yield all brindled quadruples of (n+1)-bit vectors as sorted int
-    4-tuples, in lexicographic order; the caller checks the arity against
-    MAX_BRINDLED.
+    4-tuples, in lexicographic order; enumerate_brindled checks the arity
+    against MAX_BRINDLED, and _brindled_directions reads only the rows
+    through the zero vector, at every arity.
 
     Position 0 (the top bit) holds two zeros and two ones, so z1 < z2 are
     the even vectors with top bit 0 and z3, z4 have it set.  Where z1 and
@@ -336,24 +337,20 @@ def _shifts(lam: BooleanFn) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _brindled_directions(n: int) -> tuple[tuple[int, int, int], ...]:
-    """The (e, f, e ^ f) with e < f < e ^ f, e | f all ones and e or f odd.
+    """The direction triples (e, f, e ^ f) of the brindled quadruples.
 
     Dropping position 0 maps the even (n+1)-vectors one to one onto the
     n-bit y, so a brindled quadruple is a coset y + {0, e, f, e ^ f}: every
     column holds two ones exactly when each bit lies in two of e, f, e ^ f,
-    and two of the four y are odd exactly when one direction is.  Each
-    direction triple has 2^(n-2) cosets, about 3^n/8 triples in all.  The
-    smallest direction lacks the top bit, so e runs below it, f is ~e plus
-    a submask w of e without e's highest bit (that keeps f < e ^ f).
+    and two of the four y are odd exactly when one direction is.  So the
+    cosets through 0, one per triple, are the rows of _brindled_rows with
+    z1 = 0, and the triple is the low n bits of z2, z3, z4.  Those rows come
+    first, and each triple has 2^(n-2) cosets, so they are the first
+    brindled_count_closed(n) / 2^(n-2) rows.
     """
-    full = (1 << n) - 1
-    directions = []
-    for e in range(1, 1 << (n - 1)):
-        for w in _low_submasks(e):
-            f = (full ^ e) | w
-            if (e.bit_count() | f.bit_count()) & 1:
-                directions.append((e, f, e ^ f))
-    return tuple(directions)
+    low = (1 << n) - 1
+    rows = islice(_brindled_rows(n), brindled_count_closed(n) * 4 >> n)
+    return tuple((z2, z3 & low, z4 & low) for _, z2, z3, z4 in rows)
 
 
 def _odd_cosets(shifts: list[int], directions) -> int:
@@ -383,12 +380,11 @@ def _block_test(lam: BooleanFn):
     )
 
 
-def _zero_sum_brindled(lam: BooleanFn, shifts: list[int] | None = None) -> int:
-    """The number of brindled quadruples on whose four indices lam sums to 0;
-    `shifts`, when given, is _shifts(lam)."""
-    if shifts is None:
-        shifts = _shifts(lam)
-    return brindled_count_closed(lam.n) - _odd_cosets(shifts, _brindled_directions(lam.n))
+def _zero_sum_brindled(shifts: list[int]) -> int:
+    """The number of brindled quadruples on whose four indices lam sums to 0,
+    from shifts = _shifts(lam)."""
+    n = len(shifts).bit_length() - 1
+    return brindled_count_closed(n) - _odd_cosets(shifts, _brindled_directions(n))
 
 
 def count_transversals_formula(lam: BooleanFn) -> int:
@@ -402,7 +398,7 @@ def count_transversals_formula(lam: BooleanFn) -> int:
     if n < 2:
         raise ValueError(f"formula counting needs arity >= 2, got {n}")
     twin = 8 ** (n - 1) if n % 2 else 0
-    return twin + 2 * 4 ** (n - 1) * _zero_sum_brindled(lam)
+    return twin + 2 * 4 ** (n - 1) * _zero_sum_brindled(_shifts(lam))
 
 
 def zero_transversal_criterion(lam: BooleanFn) -> bool:
@@ -414,7 +410,7 @@ def zero_transversal_criterion(lam: BooleanFn) -> bool:
     """
     if lam.n % 2:
         raise ValueError("criterion applies to even arity only")
-    return _zero_sum_brindled(lam) == 0
+    return _zero_sum_brindled(_shifts(lam)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +448,7 @@ def delta_report(lam: BooleanFn) -> DeltaReport:
     n = lam.n
     total = brindled_count_closed(n)
     shifts = _shifts(lam)
-    zero_sum = _zero_sum_brindled(lam, shifts)
+    zero_sum = _zero_sum_brindled(shifts)
     if zero_sum == total:
         delta = DeltaClass.CONSTANT0
     elif zero_sum == 0 and total > 0:

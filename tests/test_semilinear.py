@@ -37,7 +37,7 @@ from lhc import (
 )
 from lhc.algebra import GroupKind
 from lhc.randgen import random_lambda
-from lhc.semilinear import MAX_BRINDLED, _brindled_rows
+from lhc.semilinear import MAX_BRINDLED, _brindled_directions, _brindled_rows
 from lhc.verify import _even_xor_count, _odd_group_count
 
 
@@ -197,6 +197,10 @@ def test_enumerate_brindled_matches_brute_force(n):
 def test_brindled_tables_match_triple_loop(n):
     expected = reference_brindled_ints(n)
     assert list(_brindled_rows(n)) == expected
+    # the direction triples are the rows through the zero vector, position 0 dropped
+    low = (1 << n) - 1
+    through_zero = [(z2 & low, z3 & low, z4 & low) for z1, z2, z3, z4 in expected if z1 == 0]
+    assert sorted(_brindled_directions(n)) == through_zero
 
 
 def test_brindled_tables_are_bounded():
@@ -205,8 +209,9 @@ def test_brindled_tables_are_bounded():
     assert brindled_count_closed(10) <= MAX_BRINDLED < brindled_count_closed(11)
     with pytest.raises(EnvelopeError, match="^arity 11 has 11337216 brindled quadruples"):
         enumerate_brindled(11)
-    # the zero-sum count lists no quadruple; it holds 4^n bits of shifted
-    # lam, refused above MAX_CELLS = 4^12 like the cube of the same lam
+    # the zero-sum count lists only the quadruples through the zero vector
+    # and holds 4^n bits of shifted lam, refused above MAX_CELLS = 4^12 like
+    # the cube of the same lam
     zero13, zero14 = BooleanFn(13, (0,) * 2**13), BooleanFn(14, (0,) * 2**14)
     for n, call in (
         (13, lambda: delta_report(zero13)),
