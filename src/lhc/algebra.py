@@ -131,55 +131,55 @@ class TransformSpec(Record):
 
 def apply_isotopy(cube: LatinHypercube, perms) -> LatinHypercube:
     """R with R[s1^-1(x1)..sn^-1(xn)] = s0^-1(Q[x1..xn])."""
-    n, q = cube.n, cube.q
-    perms = tuple(check_permutation(p, q) for p in perms)
-    if len(perms) != n + 1:
-        raise ValueError(f"expected {n + 1} permutations, got {len(perms)}")
-    # cell y reads the source cell (s1(y1), .., sn(yn)): relabel the last
-    # axis n times, each time joining its slabs in the order s_i, which
-    # moves it to the front and leaves the axes in their order at the end
-    values = cube.values.translate(bytes(inverse_permutation(perms[0])) + bytes(256 - q))
-    for p in reversed(perms[1:]):
-        parts = slabs(values, q, 1)
-        values = b"".join([parts[x] for x in p])
-    return LatinHypercube(n, q, values)
+    return apply_transform(cube, TransformSpec(tuple(perms)))
 
 
 def apply_parastrophe(cube: LatinHypercube, pi) -> LatinHypercube:
     """Re-read the graph with role i taking the old role pi(i)."""
+    return apply_transform(cube, TransformSpec(None, tuple(pi)))
+
+
+def apply_transform(cube: LatinHypercube, spec: TransformSpec) -> LatinHypercube:
+    """The cube under the spec's isotopy, then its parastrophe, each when
+    given, in one move per axis.  The isotopy is checked first."""
     n, q = cube.n, cube.q
-    return LatinHypercube(n, q, _parastrophe(cube.values, n, q, check_permutation(pi, n + 1)))
+    perms = spec.isotopy
+    if perms is not None:
+        perms = tuple(check_permutation(p, q) for p in perms)
+        if len(perms) != n + 1:
+            raise ValueError(f"expected {n + 1} permutations, got {len(perms)}")
+    pi = range(n + 1) if spec.parastrophe is None else check_permutation(spec.parastrophe, n + 1)
+    return LatinHypercube(n, q, _parastrophe(cube.values, n, q, pi, perms))
 
 
-def _parastrophe(values, n: int, q: int, pi) -> bytes:
-    """apply_parastrophe on a bare table.  A move rebinds `values` to its
-    slabs before joining them, so a table passed with no other reference
-    is freed before the moved one is built."""
+def _parastrophe(values, n: int, q: int, pi, perms=None) -> bytes:
+    """apply_transform on a bare table: the isotopy `perms`, when given,
+    then the parastrophe pi.  A move rebinds `values` to its slabs before
+    joining them, so a table passed with no other reference is freed before
+    the moved one is built."""
     roles = list(range(1, n + 1))  # the old role on each axis
+    orders = [range(q)] * (n + 1)  # the slab order of each role as it moves
+    if perms is not None:
+        # cell y of the isotope reads the source cell (s1(y1), .., sn(yn))
+        values = values.translate(bytes(inverse_permutation(perms[0])) + bytes(256 - q))
+        orders[1:] = perms[1:]
     if pi[0]:
         # the output swaps roles with input pi(0), whose lines are inverted:
-        # joined, their slabs put the old output role on the front axis
-        values = b"".join(inverse_slabs(slabs(values, q, q ** (n - pi[0])), range(q)))
+        # joined, their relabelled slabs put the old output role on the front axis
+        parts = slabs(values, q, q ** (n - pi[0]))
+        values = b"".join(inverse_slabs([parts[x] for x in orders[pi[0]]], range(q)))
         roles = [0] + [r for r in roles if r != pi[0]]
-    # move axes to the front, the last wanted first; the longest tail of pi
-    # that is in order already stays behind them
-    keep = n - 1
-    while keep and roles.index(pi[keep]) < roles.index(pi[keep + 1]):
+    # move axes to the front, the last wanted first; without an isotopy the
+    # longest tail of pi that is in order already stays behind them
+    keep = n if perms is not None else n - 1
+    while perms is None and keep and roles.index(pi[keep]) < roles.index(pi[keep + 1]):
         keep -= 1
     for role in reversed(pi[1 : keep + 1]):
         axis = roles.index(role)
         values = slabs(values, q, q ** (n - 1 - axis))
-        values = b"".join(values)
+        values = b"".join([values[x] for x in orders[role]])
         roles.insert(0, roles.pop(axis))
     return values
-
-
-def apply_transform(cube: LatinHypercube, spec: TransformSpec) -> LatinHypercube:
-    if spec.isotopy is not None:
-        cube = apply_isotopy(cube, spec.isotopy)
-    if spec.parastrophe is not None:
-        cube = apply_parastrophe(cube, spec.parastrophe)
-    return cube
 
 
 # ---------------------------------------------------------------------------

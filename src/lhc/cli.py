@@ -194,10 +194,8 @@ def _cmd_apply(args) -> int:
     from .algebra import TransformSpec, apply_transform
 
     cube = _read_cube(args.path)
-    isotopy = None
-    if args.isotopy:
-        isotopy = tuple(_parse_perm_arg(p) for p in args.isotopy)
-    parastrophe = _parse_perm_arg(args.parastrophe) if args.parastrophe else None
+    isotopy = None if args.isotopy is None else tuple(_parse_perm_arg(p) for p in args.isotopy)
+    parastrophe = None if args.parastrophe is None else _parse_perm_arg(args.parastrophe)
     transformed = apply_transform(cube, TransformSpec(isotopy, parastrophe))
     if args.show_counts:
         from .engine import count_transversals_stats

@@ -27,6 +27,7 @@ from lhc import (
     Leaf,
     Node,
     StructuralError,
+    TransformSpec,
     TwoLevelComposition,
     algebra,
     apply_isotopy,
@@ -325,6 +326,25 @@ def test_arity_nine_parastrophe_is_undone_by_its_inverse():
     assert apply_parastrophe(moved, algebra.inverse_permutation(pi)) == cube
 
 
+def test_arity_nine_transform_is_undone_by_its_inverses():
+    # 4**9 cells: one move per axis relabels it, and the output role swaps
+    # with input 4, whose slabs are relabelled before its lines are inverted
+    n = 9
+    rng = random.Random(29)
+    cube = gen_semilinear(random_lambda(n, rng))
+    perms = random_isotopy(n, 4, rng)
+    pi = (4, 7, 0, 9, 2, 5, 1, 8, 3, 6)
+    moved = apply_transform(cube, TransformSpec(perms, pi))
+    assert moved != cube
+    inverses = [algebra.inverse_permutation(p) for p in perms]
+    for _ in range(200):
+        x = tuple(rng.randrange(4) for _ in range(n))
+        cell = tuple(inverses[i][v] for i, v in enumerate((cube[x],) + x))
+        assert moved[tuple(cell[pi[i]] for i in range(1, n + 1))] == cell[pi[0]]
+    assert validate_latin(moved).ok
+    assert apply_isotopy(apply_parastrophe(moved, algebra.inverse_permutation(pi)), inverses) == cube
+
+
 def test_parastrophe_swap_roles_matches_graph_oracle():
     sq = addition_square(3).as_cube()
     swapped = apply_parastrophe(sq, (1, 0, 2))
@@ -356,6 +376,15 @@ def test_isotopy_rejects_bad_permutation():
         apply_isotopy(xor_cube(2), ((0, 1, 2, 3),) * 2)
     with pytest.raises(ValueError):
         apply_parastrophe(xor_cube(2), (0, 1, 1))
+    with pytest.raises(TypeError):
+        apply_isotopy(xor_cube(2), None)
+    with pytest.raises(TypeError):
+        apply_parastrophe(xor_cube(2), None)
+    # the isotopy is checked first: each permutation, then their count
+    with pytest.raises(ValueError, match=r"0\.\.3: \(0, 1, 2, 2\)"):
+        apply_transform(xor_cube(2), TransformSpec(((0, 1, 2, 2),) * 3, (0, 1, 1)))
+    with pytest.raises(ValueError, match="expected 3 permutations"):
+        apply_transform(xor_cube(2), TransformSpec(((0, 1, 2, 3),) * 2, (0, 1, 1)))
 
 
 # ---------------------------------------------------------------------------

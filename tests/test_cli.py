@@ -243,6 +243,17 @@ def test_apply_bad_permutation_is_usage_error(tmp_path, capsys):
     assert rc == 2  # wrong number of permutations
 
 
+def test_apply_empty_permutation_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "src.lhc"
+    run(capsys, "gen", "iterated", "--group", "z22", "--n", "2", "--q", "4", "-o", str(src))
+    for flag in ("--parastrophe", "--isotopy"):
+        out = tmp_path / "o.lhc"
+        rc, _, err = run(capsys, "apply", str(src), flag, "", "-o", str(out))
+        assert rc == 2
+        assert err == "error: bad permutation '', expected comma-separated images\n"
+        assert not out.exists()
+
+
 def test_quadruples_report(capsys):
     rc, out, _ = run(capsys, "quadruples", "--lambda", "0" * 16)
     assert rc == 0

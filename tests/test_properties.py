@@ -53,6 +53,7 @@ from lhc import (
     GroupKind,
     LatinHypercube,
     ParseError,
+    TransformSpec,
     TwoLevelComposition,
     apply_isotopy,
     apply_parastrophe,
@@ -317,6 +318,24 @@ def test_isotopy_matches_reference(shape, seed):
     cube = _random_table(n, q, rng)
     perms = random_isotopy(n, q, rng)
     assert apply_isotopy(cube, perms).values == reference_isotopy(cube, perms).values
+
+
+@BUILDERS
+@given(shape=_builder_shapes(1), seed=seeds)
+# at (7, 4) seed 2 draws pi[0] = 3, so the output role swaps with an input
+# whose slabs are relabelled before its lines are inverted, and seed 4 draws
+# pi[0] = 0; both leave three roles with the identity
+@example(shape=(7, 4), seed=2)
+@example(shape=(7, 4), seed=4)
+@example(shape=(4, 8), seed=0)
+def test_transform_matches_reference_isotopy_then_parastrophe(shape, seed):
+    n, q = shape
+    rng = random.Random(seed)
+    cube = random_quasigroup(n, q, rng)
+    perms = tuple(tuple(range(q)) if rng.random() < 0.3 else p for p in random_isotopy(n, q, rng))
+    pi = random_parastrophe(n, rng)
+    want = reference_parastrophe(reference_isotopy(cube, perms), pi)
+    assert apply_transform(cube, TransformSpec(perms, pi)).values == want.values
 
 
 @BUILDERS
