@@ -475,8 +475,10 @@ def test_verify_subset(tmp_path, capsys):
     payload = json.loads(sidecar.read_text())
     assert payload["all_passed"] is True
     assert {c["claim_id"] for c in payload["claims"]} == {"C01", "C05"}
+    assert [(c["instances"] > 0, c["failure"]) for c in payload["claims"]] == [(True, None)] * 2
     assert set(payload) == {"claims", "all_passed", "provenance"}
     prov = payload["provenance"]
+    assert set(prov) == {"lhc", "python", "platform", "git", "utc"}
     assert prov["lhc"] == lhc.__version__
     assert prov["python"] == platform.python_version()
     assert prov["platform"] == platform.platform()
@@ -488,13 +490,64 @@ def test_verify_subset(tmp_path, capsys):
 def test_sidecar_lists_each_claim_field_in_order():
     from lhc.verify import ClaimResult, sidecar_payload
 
-    results = [ClaimResult("C01", "binary", "8", "8", True, 1.5), ClaimResult("C02", "odd", "", "", False, 0.0, True, "slow")]
-    assert [list(c.items()) for c in sidecar_payload(results)["claims"]] == [
-        [("claim_id", "C01"), ("subject", "binary"), ("expected", "8"), ("got", "8"), ("passed", True),
-         ("millis", 1.5), ("skipped", False), ("skip_reason", "")],
-        [("claim_id", "C02"), ("subject", "odd"), ("expected", ""), ("got", ""), ("passed", False),
-         ("millis", 0.0), ("skipped", True), ("skip_reason", "slow")],
+    results = [
+        ClaimResult("C01", "binary", "8", "8", True, 1.5, instances=2),
+        ClaimResult("C02", "odd", "", "", False, 0.0, True, "slow"),
+        ClaimResult("C04", "formula", "0", "1", False, 2.5, False, "", 7, ("0110", "8", "0")),
     ]
+    assert [list(c.items()) for c in json.loads(json.dumps(sidecar_payload(results)))["claims"]] == [
+        [("claim_id", "C01"), ("subject", "binary"), ("expected", "8"), ("got", "8"), ("passed", True),
+         ("millis", 1.5), ("skipped", False), ("skip_reason", ""), ("instances", 2), ("failure", None)],
+        [("claim_id", "C02"), ("subject", "odd"), ("expected", ""), ("got", ""), ("passed", False),
+         ("millis", 0.0), ("skipped", True), ("skip_reason", "slow"), ("instances", 0), ("failure", None)],
+        [("claim_id", "C04"), ("subject", "formula"), ("expected", "0"), ("got", "1"), ("passed", False),
+         ("millis", 2.5), ("skipped", False), ("skip_reason", ""), ("instances", 7), ("failure", ["0110", "8", "0"])],
+    ]
+
+
+def test_provenance_git_names_the_package_work_tree_or_none(monkeypatch):
+    from lhc import verify
+
+    argv = ["git", "-C", str(Path(verify.__file__).parent), "rev-parse", "-q", "--verify", "HEAD"]
+    try:
+        head = subprocess.run(argv, capture_output=True, text=True).stdout.strip() or None
+    except OSError:
+        head = None
+    assert verify.sidecar_payload([])["provenance"]["git"] == head
+
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(subprocess, "run", no_git)
+    assert verify.sidecar_payload([])["provenance"]["git"] is None
+
+
+def test_raising_claim_fails_alone_and_the_rest_still_run(tmp_path, capsys, monkeypatch):
+    from lhc import verify
+
+    real = verify.count_transversals
+
+    def boom(cube):
+        if cube.n == 2:
+            raise ValueError("boom")
+        return real(cube)
+
+    monkeypatch.setattr(verify, "count_transversals", boom)
+    sidecar = tmp_path / "report.json"
+    rc, out, err = run(capsys, "verify", "--claim", "C01", "C05", "--json", str(sidecar))
+    assert rc == 1 and err == ""
+    rows = [[p.strip() for p in ln.split("|")] for ln in out.splitlines()]
+    assert rows[0][:5] == ["C01", "binary baselines", "-", "raised ValueError: boom", "FAIL"]
+    assert rows[1][:5] == [
+        "C05", "brindled census", "closed = recurrence = enumeration = 1,6,40,240,1456",
+        "n=2: 1/1/1; n=3: 6/6/6; n=4: 40/40/40; n=5: 240/240/240; n=6: 1456/1456/1456", "PASS",
+    ]
+    assert len(rows) == 2
+    payload = json.loads(sidecar.read_text())
+    assert payload["all_passed"] is False
+    c01, c05 = payload["claims"]
+    assert (c01["passed"], c01["instances"], c01["failure"]) == (False, 0, [None, "raised ValueError: boom", "no exception"])
+    assert (c05["passed"], c05["failure"]) == (True, None)
 
 
 def test_verify_unknown_claim(tmp_path, capsys):

@@ -283,9 +283,9 @@ RECORDS = [
     (DeltaReport, (DeltaClass.CONSTANT1, 0, PlaneParity.ALL_ODD),
      ("delta_class", "zero_sum_brindled_count", "plane_parity"), {}, None, None),
     (Transversal, (((0, 0, 1), (1, 1, 0)),), ("cells",), {}, None, None),
-    (ClaimResult, ("C01", "binary", "8", "8", True, 1.5, False, ""),
-     ("claim_id", "subject", "expected", "got", "passed", "millis", "skipped", "skip_reason"),
-     {"skipped": False, "skip_reason": ""}, None, None),
+    (ClaimResult, ("C01", "binary", "8", "8", False, 1.5, False, "", 2, ("LHC 2 4", "0", "8")),
+     ("claim_id", "subject", "expected", "got", "passed", "millis", "skipped", "skip_reason", "instances", "failure"),
+     {"skipped": False, "skip_reason": "", "instances": 0, "failure": None}, None, None),
 ]
 
 
