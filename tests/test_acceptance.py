@@ -14,7 +14,7 @@ import pytest
 from lhc import algebra, fixtures, verify
 from lhc.cli import main
 from lhc.core import parse_lhc, serialize_lhc
-from lhc.engine import count_transversals
+from lhc.engine import count_transversals, enumerate_transversals, verify_transversal
 from lhc.randgen import random_quasigroup
 from lhc.semilinear import gen_semilinear, parse_lambda
 from lhc.verify import CLAIM_BUDGETS_MS, CLAIM_IDS, format_report, run_claims
@@ -96,6 +96,33 @@ def test_formula_failure_is_named_and_replays(monkeypatch):
     replayed = wrong(lam), count_transversals(gen_semilinear(lam))
     assert replayed[0] != replayed[1]
     assert (got, want) == tuple(map(str, replayed))
+
+
+def test_existence_failure_is_named_and_replays(monkeypatch):
+    """An enumerator that finds nothing on the arity-4 semilinear cubes whose
+    lambda is 1 at z = 0000 (their first cell holds 1): C07 fails, the sidecar
+    names such a lambda, and the cube built from its bits has a transversal
+    the real enumerator finds and the patched one misses."""
+
+    def blind(cube, limit=None):
+        if cube.values[0] == 1:
+            return iter(())
+        return enumerate_transversals(cube, limit)
+
+    monkeypatch.setattr(verify, "enumerate_transversals", blind)
+    calls = _counting_checks(monkeypatch)
+    (result,) = run_claims(["C07"])
+    assert not result.passed
+    assert result.instances == len(calls) == 3098
+    bits, got, want = verify.sidecar_payload([result])["claims"][0]["failure"]
+    lam = parse_lambda(bits)
+    assert lam.n == 4 and lam.bits[0] == 1
+    # the claim read "no transversal" where the criterion says there is one
+    assert (got, want) == ("True", "False")
+    cube = gen_semilinear(lam)
+    first = next(enumerate_transversals(cube), None)
+    assert first is not None and verify_transversal(cube, first)
+    assert next(blind(cube), None) is None
 
 
 def test_transform_failure_is_named_and_replays_with_lhc_apply(monkeypatch, tmp_path, capsys):

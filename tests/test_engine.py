@@ -13,6 +13,7 @@ import pytest
 
 from helpers import addition_square, all_lambdas, brute_force_transversals, cyclic_cube, xor_cube
 from lhc import (
+    BooleanFn,
     EnvelopeError,
     LatinHypercube,
     QuadrupleClass,
@@ -33,6 +34,7 @@ from lhc import (
     lower_bound_completely_reducible,
     transversals_by_quadruple,
     verify_transversal,
+    zero_transversal_criterion,
 )
 from lhc.fixtures import EXAMPLE_CUBE_2, load_fixture
 from lhc.randgen import random_lambda, random_quasigroup, random_tree
@@ -382,6 +384,27 @@ def test_buckets_on_odd_xor_cube():
 
 def test_buckets_empty_for_even_cyclic_orientation():
     assert transversals_by_quadruple(gen_semilinear(lambda_z4(4))) == {}
+
+
+def test_enumerator_at_the_zero_transversal_boundary():
+    """The 32 arity-4 lambdas without transversals are lambda_z4(4) plus an
+    affine function: on each the enumerator finds nothing, the counter gives
+    0 and the criterion holds.  Every lambda one bit away from one of them
+    has a first transversal that verifies, and the criterion fails."""
+    z4 = lambda_z4(4).bits
+    affine = [tuple(a0 ^ ((z & mask).bit_count() & 1) for z in range(16)) for a0 in range(2) for mask in range(16)]
+    for aff in affine:
+        zero = BooleanFn(4, tuple(x ^ y for x, y in zip(z4, aff)))
+        cube = gen_semilinear(zero)
+        assert next(enumerate_transversals(cube), None) is None
+        assert count_transversals(cube) == 0
+        assert zero_transversal_criterion(zero)
+        for flip in range(16):
+            lam = BooleanFn(4, tuple(b ^ (z == flip) for z, b in enumerate(zero.bits)))
+            cube = gen_semilinear(lam)
+            first = next(enumerate_transversals(cube), None)
+            assert first is not None and verify_transversal(cube, first), lam.to_string()
+            assert not zero_transversal_criterion(lam)
 
 
 def test_buckets_require_standard_semilinearity():
