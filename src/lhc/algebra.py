@@ -352,11 +352,11 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
     parastrophic split.  Cubes above the search envelope's cell bound are
     refused before any subset is tried.
 
-    Only the subsets that pass a screen go to factor_on_subset, in sweep
-    order, so the result is the one the plain sweep gives.  The screen of a
-    standard semilinear cube is the exact block test on its lam, so the
-    first subset it passes is a block; any other cube has
-    _restriction_screen, a necessary condition.
+    A subset S passes the screen when block(i, j, k) holds for all i < j
+    in S and k outside it; one cache reads each triple once.  block is the
+    exact test on lam for a standard semilinear cube, and the necessary
+    _restriction_screen for any other.  Only the subsets that pass go to
+    factor_on_subset, in sweep order, so the result is the plain sweep's.
     """
     n = cube.n
     if n < 3:
@@ -368,10 +368,11 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
         from .semilinear import _block_test, detect_semilinear
 
         lam = detect_semilinear(cube)
-    screen = _restriction_screen(cube) if lam is None else _block_test(lam)
+    block = cache(_restriction_screen(cube) if lam is None else _block_test(lam))
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
-            if screen(subset):
+            rest = [k for k in range(1, n + 1) if k not in subset]
+            if all(block(i, j, k) for i, j in combinations(subset, 2) for k in rest):
                 fac = factor_on_subset(cube, subset)
                 if fac is not None:
                     return fac
@@ -384,19 +385,18 @@ _RANDOM_CORNERS = 30
 
 
 def _restriction_screen(cube: LatinHypercube):
-    """A test that every block S passes: for all i < j in S and k outside
-    it, {i, j} is a block of the ternary restriction to (x_i, x_j, x_k) with
-    the other inputs fixed at a corner, since fixing them anywhere turns
-    outer(inner(x_S), x_rest) into G(H(x_i, x_j), x_k).  The corners are
-    every input at 0, every input at q-1 and _RANDOM_CORNERS drawn from a
-    fixed seed, so every run does the same work.  Each triple is read once,
-    when first asked for."""
+    """The triple test that every block passes: block(i, j, k) holds when
+    {i, j} is a block of the ternary restriction to (x_i, x_j, x_k) with
+    the other inputs fixed at each corner, since fixing them anywhere turns
+    outer(inner(x_S), x_rest) with i, j in S and k outside it into
+    G(H(x_i, x_j), x_k).  The corners are every input at 0, every input at
+    q-1 and _RANDOM_CORNERS drawn from a fixed seed, so every run does the
+    same work."""
     n, q, values = cube.n, cube.q, cube.values
     stride = [q ** (n - v) for v in range(n + 1)]
     rng = Random(0)
     corners = [0, len(values) - 1, *(rng.randrange(len(values)) for _ in range(_RANDOM_CORNERS))]
 
-    @cache
     def block(i: int, j: int, k: int) -> bool:
         si, sj, sk = stride[i], stride[j], stride[k]
         plane = [x * si + y * sj for x in range(q) for y in range(q)]
@@ -407,9 +407,7 @@ def _restriction_screen(cube: LatinHypercube):
                 return False
         return True
 
-    return lambda subset: all(
-        block(i, j, k) for i, j in combinations(subset, 2) for k in range(1, n + 1) if k not in subset
-    )
+    return block
 
 
 # ---------------------------------------------------------------------------

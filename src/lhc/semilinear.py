@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterator
 
 from .core import (
@@ -362,22 +362,19 @@ def _odd_cosets(shifts: list[int], directions) -> int:
 
 
 def _block_test(lam: BooleanFn):
-    """The exact test of an input subset S as a block of gen_semilinear(lam):
-    for all i < j in S and k outside it, lam sums to 0 on every coset
-    y + {0, e, f, e ^ f} with e = e_i ^ e_j and f = e_k, variable v at bit
-    1 << (n - v).  Each triple is read once, when first asked for."""
+    """The exact triple test of gen_semilinear(lam): an input subset S is a
+    block when block(i, j, k) holds for all i < j in S and k outside it,
+    that is when lam sums to 0 on every coset y + {0, e, f, e ^ f} with
+    e = e_i ^ e_j and f = e_k, variable v at bit 1 << (n - v)."""
     n = lam.n
     shifts = _shifts(lam)
     bit = [1 << (n - v) for v in range(n + 1)]
 
-    @lru_cache(maxsize=None)
-    def odd(i: int, j: int, k: int) -> int:
+    def block(i: int, j: int, k: int) -> bool:
         e = bit[i] | bit[j]
-        return _odd_cosets(shifts, [(e, bit[k], e | bit[k])])
+        return not _odd_cosets(shifts, [(e, bit[k], e | bit[k])])
 
-    return lambda subset: not any(
-        odd(i, j, k) for i, j in combinations(subset, 2) for k in range(1, n + 1) if k not in subset
-    )
+    return block
 
 
 def _zero_sum_brindled(shifts: list[int]) -> int:

@@ -358,6 +358,13 @@ def all_corner_block_test(cube, subset) -> bool:
     return True
 
 
+def screen_passes(block, n: int, subset) -> bool:
+    """The subset rule of find_factorization's sweep on a triple test: S
+    passes when block(i, j, k) holds for all i < j in S and k outside it."""
+    rest = [k for k in range(1, n + 1) if k not in subset]
+    return all(block(i, j, k) for i, j in combinations(subset, 2) for k in rest)
+
+
 def reference_find_factorization(cube):
     """reference_factor_on_subset on every input subset, smallest first;
     the first factorization found."""

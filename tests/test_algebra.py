@@ -16,6 +16,7 @@ from helpers import (
     graph_cells,
     lambda_from_string,
     reference_find_factorization,
+    screen_passes,
     xor_cube,
 )
 from lhc import (
@@ -47,6 +48,7 @@ from lhc import (
     lift_transversals_fiber,
     lift_transversals_product,
     lower_bound_completely_reducible,
+    semilinear,
     slice_first,
     validate_latin,
     verify_transversal,
@@ -476,8 +478,13 @@ def _restriction_passes(cube) -> list:
     """The subsets that pass _restriction_screen, the screen find_factorization
     uses on every cube whose lambda it cannot read (an isotoped semilinear
     cube, say); a standard semilinear cube gets the exact test on lambda."""
-    screen = algebra._restriction_screen(cube)
-    return [s for size in range(2, cube.n) for s in combinations(range(1, cube.n + 1), size) if screen(s)]
+    block = algebra._restriction_screen(cube)
+    n = cube.n
+    return [s for size in range(2, n) for s in combinations(range(1, n + 1), size) if screen_passes(block, n, s)]
+
+
+def _one_point_cube(n: int, point: int):
+    return gen_semilinear(BooleanFn(n, tuple(int(z == point) for z in range(1 << n))))
 
 
 def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch):
@@ -515,10 +522,55 @@ def test_factorization_of_one_point_lambdas_needs_no_exact_check(monkeypatch):
     # screen none, and the test on lambda none either
     calls = _exact_checks(monkeypatch)
     for point in range(128):
-        cube = gen_semilinear(BooleanFn(7, tuple(int(z == point) for z in range(128))))
+        cube = _one_point_cube(7, point)
         assert find_factorization(cube) is None
         assert _restriction_passes(cube) == []
     assert calls == []
+
+
+def test_factorization_of_isotoped_one_point_lambdas_needs_no_exact_check(monkeypatch):
+    # an isotopy hides lambda, so these 19 cubes meet the restriction screen,
+    # whose random corners rule out every subset; with the two fixed corners
+    # alone, 921 subsets reach the exact check
+    calls = _exact_checks(monkeypatch)
+    for point in range(0, 128, 7):
+        cube = apply_isotopy(_one_point_cube(7, point), random_isotopy(7, 4, random.Random(point)))
+        assert detect_semilinear(cube) is None
+        assert find_factorization(cube) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "module, name, cube",
+    [
+        # lambda hidden by an isotopy: the restriction screen
+        (algebra, "_restriction_screen",
+         apply_isotopy(_one_point_cube(7, 37), random_isotopy(7, 4, random.Random(37)))),
+        # a standard semilinear cube: the test on lambda
+        (semilinear, "_block_test", gen_semilinear(random_lambda(8, random.Random(1)))),
+    ],
+)
+def test_factorization_reads_each_triple_once(monkeypatch, module, name, cube):
+    # a later subset asks for triples an earlier one read; the sweep's cache
+    # answers them, whichever screen it holds
+    screen = getattr(module, name)
+    reads = []  # (argument, triple, verdict) of each triple read
+
+    def counted(arg):
+        block = screen(arg)
+
+        def read(*triple):
+            reads.append((arg, triple, block(*triple)))
+            return reads[-1][2]
+
+        return read
+
+    monkeypatch.setattr(module, name, counted)
+    assert find_factorization(cube) is None
+    triples = [triple for _, triple, _ in reads]
+    assert triples and len(set(triples)) == len(triples)
+    for arg, triple, verdict in reads:
+        assert screen(arg)(*triple) == verdict
 
 
 def test_factorization_of_a_standard_semilinear_cube_reads_lambda(monkeypatch):

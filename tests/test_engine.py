@@ -15,6 +15,7 @@ from helpers import addition_square, all_lambdas, brute_force_transversals, cycl
 from lhc import (
     BooleanFn,
     EnvelopeError,
+    GroupKind,
     LatinHypercube,
     QuadrupleClass,
     StructuralError,
@@ -28,6 +29,7 @@ from lhc import (
     count_twin,
     engine,
     enumerate_transversals,
+    gen_iterated_group,
     gen_semilinear,
     lambda_z4,
     lambda_z22,
@@ -123,6 +125,21 @@ def test_odd_arity_closed_form_at_seven():
     assert want == 71827456
     assert count_transversals(cyclic_cube(7)) == want
     assert count_transversals(xor_cube(7)) == want
+
+
+def test_iterated_cyclic_groups_have_transversals_unless_order_and_arity_are_even():
+    # the n-ary Hall-Paige parity (README, "Iterated cyclic groups"): summing
+    # x0 + .. + xn = 0 over a transversal's q cells gives (n+1)*q/2 = 0 mod q
+    # when q is even, so n is odd; pairing t with -t (and, at odd q and even
+    # n, t, t, -2t) builds one otherwise.  The n = 2 counts at q = 3, 5 and 7
+    # are those of cyclic squares (OEIS A006717)
+    grid = {2: 12, 3: 6, 4: 6, 5: 4, 6: 4, 7: 3}
+    counts = {(q, n): count_transversals(gen_iterated_group(GroupKind.CYCLIC, n, q))
+              for q, top in grid.items() for n in range(1, top + 1)}
+    assert {key for key, count in counts.items() if count == 0} == {
+        (q, n) for q, n in counts if q % 2 == n % 2 == 0
+    }
+    assert [counts[q, 2] for q in (3, 5, 7)] == [3, 15, 133]
 
 
 def test_enumerate_identity_permutation():

@@ -45,6 +45,7 @@ from helpers import (
     reference_transversals_by_quadruple,
     reference_two_level,
     reference_validate_latin,
+    screen_passes,
 )
 from lhc import (
     BooleanFn,
@@ -470,7 +471,7 @@ def test_restriction_screen_keeps_every_block(n, q, seed):
     inner = apply_transform(split.inner, random_transform(split.inner.n, q, rng))
     outer = apply_transform(split.outer, random_transform(split.outer.n, q, rng))
     cube = TwoLevelComposition(outer, inner, split.inner_vars).compose()
-    assert algebra._restriction_screen(cube)(split.inner_vars)
+    assert screen_passes(algebra._restriction_screen(cube), cube.n, split.inner_vars)
 
 
 @PROPERTY
@@ -510,10 +511,10 @@ def _decomposable_lambda(n, rng):
 def test_lambda_block_test_matches_factor_on_subset(n, how, seed):
     lam = how(n, random.Random(seed))
     cube = gen_semilinear(lam)
-    passes = _block_test(lam)
+    block = _block_test(lam)
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
-            assert passes(subset) == (factor_on_subset(cube, subset) is not None)
+            assert screen_passes(block, n, subset) == (factor_on_subset(cube, subset) is not None)
 
 
 # ---------------------------------------------------------------------------
