@@ -13,7 +13,6 @@ import math
 from enum import Enum
 from functools import cache
 from itertools import combinations
-from random import Random
 from typing import TYPE_CHECKING
 
 from .core import ENVELOPE_MAX_CELLS, EnvelopeError, LatinHypercube, Record, StructuralError, check_scale
@@ -354,9 +353,10 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
 
     A subset S passes the screen when block(i, j, k) holds for all i < j
     in S and k outside it; one cache reads each triple once.  block is the
-    exact test on lam for a standard semilinear cube, and the necessary
-    _restriction_screen for any other.  Only the subsets that pass go to
-    factor_on_subset, in sweep order, so the result is the plain sweep's.
+    exact test on lam for a standard semilinear cube or, since an isotopy
+    keeps every block, for a cube with a standard isotope; for any other
+    it is the necessary _restriction_screen.  Only the subsets that pass go
+    to factor_on_subset, in sweep order, so the result is the plain sweep's.
     """
     n = cube.n
     if n < 3:
@@ -365,9 +365,9 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
         raise EnvelopeError(f"factorization supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
     lam = None
     if cube.q == 4:
-        from .semilinear import _block_test, detect_semilinear
+        from .semilinear import _block_test, _isotope_lambda, detect_semilinear
 
-        lam = detect_semilinear(cube)
+        lam = detect_semilinear(cube) or _isotope_lambda(cube)
     block = cache(_restriction_screen(cube) if lam is None else _block_test(lam))
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
@@ -379,23 +379,15 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
     return None
 
 
-# Corners drawn at random for _restriction_screen, besides every input at
-# 0 and every input at q-1.
-_RANDOM_CORNERS = 30
-
-
 def _restriction_screen(cube: LatinHypercube):
     """The triple test that every block passes: block(i, j, k) holds when
     {i, j} is a block of the ternary restriction to (x_i, x_j, x_k) with
-    the other inputs fixed at each corner, since fixing them anywhere turns
-    outer(inner(x_S), x_rest) with i, j in S and k outside it into
-    G(H(x_i, x_j), x_k).  The corners are every input at 0, every input at
-    q-1 and _RANDOM_CORNERS drawn from a fixed seed, so every run does the
-    same work."""
+    the other inputs all at 0 and all at q-1, since fixing them anywhere
+    turns outer(inner(x_S), x_rest) with i, j in S and k outside it into
+    G(H(x_i, x_j), x_k)."""
     n, q, values = cube.n, cube.q, cube.values
     stride = [q ** (n - v) for v in range(n + 1)]
-    rng = Random(0)
-    corners = [0, len(values) - 1, *(rng.randrange(len(values)) for _ in range(_RANDOM_CORNERS))]
+    corners = (0, len(values) - 1)
 
     def block(i: int, j: int, k: int) -> bool:
         si, sj, sk = stride[i], stride[j], stride[k]

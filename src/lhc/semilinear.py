@@ -150,6 +150,32 @@ def detect_semilinear(cube: LatinHypercube) -> BooleanFn | None:
     return lam if gen_semilinear(lam).values == values else None
 
 
+def _isotope_lambda(cube: LatinHypercube) -> BooleanFn | None:
+    """The lam of a standardly semilinear isotope of an order-4 cube, or None.
+
+    A split pairs f(0) with another symbol, and each input's side map is
+    read off its axis line through 0; f(x) must lie on the side of f(0),
+    flipped once for each input off its own side.  That side table is built
+    from the last axis, each step checked against the cube's prefix of its
+    length.  With every split relabelled as the high bit, each order-2 block
+    is an XOR plus a constant, which detect_semilinear reads as lam."""
+    from .algebra import apply_isotopy
+
+    n, values = cube.n, cube.values
+    for partner in {0, 1, 2, 3} - {values[0]}:
+        side = bytes(v not in (values[0], partner) for v in range(4)) + bytes(252)
+        lines = [values[: 4 ** (n - i + 1) : 4 ** (n - i)].translate(side) for i in range(1, n + 1)]
+        table = b"\0"
+        for line in reversed(lines):
+            table = b"".join([table.translate(_XOR[b]) for b in line])
+            if table != values[: len(table)].translate(side):
+                break
+        else:
+            perms = [sorted(range(4), key=s.__getitem__) for s in (side, *lines)]
+            return detect_semilinear(apply_isotopy(cube, perms))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Quadruples of Boolean vectors
 #

@@ -13,6 +13,7 @@ from helpers import (
     Z4ADD,
     addition_square,
     cyclic_cube,
+    generic_cube,
     graph_cells,
     lambda_from_string,
     reference_find_factorization,
@@ -476,8 +477,8 @@ def _exact_checks(monkeypatch) -> list:
 
 def _restriction_passes(cube) -> list:
     """The subsets that pass _restriction_screen, the screen find_factorization
-    uses on every cube whose lambda it cannot read (an isotoped semilinear
-    cube, say); a standard semilinear cube gets the exact test on lambda."""
+    uses on every cube with no standard semilinear isotope (a reducible
+    order-4 cube, say); a semilinear cube gets the exact test on lambda."""
     block = algebra._restriction_screen(cube)
     n = cube.n
     return [s for size in range(2, n) for s in combinations(range(1, n + 1), size) if screen_passes(block, n, s)]
@@ -489,18 +490,18 @@ def _one_point_cube(n: int, point: int):
 
 def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch):
     # irreducible cubes: the plain sweep reads the whole cube for each of
-    # the 246 subsets at arity 8 and 501 at arity 9, and both screens rule
-    # out every one; lambda the majority of nine inputs passes the
-    # restriction screen at the two fixed corners for every subset, and
-    # fails at a random one
+    # the 246 subsets at arity 8 and 501 at arity 9, and the test on lambda
+    # rules out every one; lambda the majority of nine inputs passes the
+    # restriction screen at its two corners for every subset, the random
+    # lambda for none
     cubes = [
-        gen_semilinear(random_lambda(8, random.Random(1))),
-        gen_semilinear(BooleanFn(9, tuple(int(z.bit_count() >= 5) for z in range(512)))),
+        (gen_semilinear(random_lambda(8, random.Random(1))), 0),
+        (gen_semilinear(BooleanFn(9, tuple(int(z.bit_count() >= 5) for z in range(512)))), 501),
     ]
     calls = _exact_checks(monkeypatch)
-    for cube in cubes:
+    for cube, passed in cubes:
         assert find_factorization(cube) is None
-        assert _restriction_passes(cube) == []
+        assert len(_restriction_passes(cube)) == passed
     assert calls == []
 
 
@@ -517,21 +518,22 @@ def test_factorization_of_the_and_lambda_needs_no_exact_check(monkeypatch):
 
 def test_factorization_of_one_point_lambdas_needs_no_exact_check(monkeypatch):
     # a lambda with a single one is near affine: the restrictions at the
-    # all-0 and all-3 corners alone let 6062 subsets through to the exact
-    # check over these 128 cubes, the random corners of the restriction
-    # screen none, and the test on lambda none either
+    # all-0 and all-3 corners let 6062 subsets of these 128 cubes through,
+    # and the test on lambda none of them
     calls = _exact_checks(monkeypatch)
+    passed = 0
     for point in range(128):
         cube = _one_point_cube(7, point)
         assert find_factorization(cube) is None
-        assert _restriction_passes(cube) == []
+        passed += len(_restriction_passes(cube))
     assert calls == []
+    assert passed == 6062
 
 
 def test_factorization_of_isotoped_one_point_lambdas_needs_no_exact_check(monkeypatch):
-    # an isotopy hides lambda, so these 19 cubes meet the restriction screen,
-    # whose random corners rule out every subset; with the two fixed corners
-    # alone, 921 subsets reach the exact check
+    # an isotopy hides lambda from detect_semilinear, but not from the test
+    # on the lambda of a standard isotope, which rules out every subset of
+    # these 19 cubes; the restriction screen would pass 921 of them
     calls = _exact_checks(monkeypatch)
     for point in range(0, 128, 7):
         cube = apply_isotopy(_one_point_cube(7, point), random_isotopy(7, 4, random.Random(point)))
@@ -543,9 +545,8 @@ def test_factorization_of_isotoped_one_point_lambdas_needs_no_exact_check(monkey
 @pytest.mark.parametrize(
     "module, name, cube",
     [
-        # lambda hidden by an isotopy: the restriction screen
-        (algebra, "_restriction_screen",
-         apply_isotopy(_one_point_cube(7, 37), random_isotopy(7, 4, random.Random(37)))),
+        # an irreducible cube of order 5: the restriction screen
+        (algebra, "_restriction_screen", generic_cube(4, 5, random.Random(14))),
         # a standard semilinear cube: the test on lambda
         (semilinear, "_block_test", gen_semilinear(random_lambda(8, random.Random(1)))),
     ],

@@ -5,8 +5,8 @@ neither composition trees nor semilinear; the work budget's early refusal agains
 the total an unbounded count books; the whole-buffer file routines
 and table builders against their cell-by-cell references; the
 factorization search against the plain subset sweep, and the exact block
-tests against the all-corner ternary test and, for standard semilinear
-cubes, the test read from lambda; the zero-sum
+tests against the all-corner ternary test and, for semilinear cubes and
+their transforms, the test read from lambda; the zero-sum
 brindled count and the plane parity against the listed quadruples and
 planes, and the `lhc quadruples` report against both counters; the bucketing by
 block quadruple against one Quadruple per transversal; the count's
@@ -96,7 +96,7 @@ from lhc.randgen import (
     random_tree,
     random_two_level,
 )
-from lhc.semilinear import _block_test, _shifts, _zero_sum_brindled
+from lhc.semilinear import _block_test, _isotope_lambda, _shifts, _zero_sum_brindled
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -431,7 +431,8 @@ def _factorization_instance(n, q, how, rng):
     if how == "semilinear":
         return gen_semilinear(random_lambda(n, rng))
     if how == "sparse semilinear":
-        # half of them transformed, which hides lambda from find_factorization
+        # half of them transformed, which hides lambda from detect_semilinear
+        # but not from the standard isotope find_factorization reads it from
         cube = gen_semilinear(_sparse_lambda(n, rng))
         if rng.random() < 0.5:
             cube = apply_transform(cube, random_transform(n, 4, rng))
@@ -507,14 +508,41 @@ def _decomposable_lambda(n, rng):
 
 @PROPERTY
 @given(n=st.integers(3, 6), how=st.sampled_from([random_lambda, _sparse_lambda, _decomposable_lambda]),
-       seed=seeds)
-def test_lambda_block_test_matches_factor_on_subset(n, how, seed):
-    lam = how(n, random.Random(seed))
-    cube = gen_semilinear(lam)
+       transformed=st.booleans(), seed=seeds)
+def test_lambda_block_test_matches_factor_on_subset(n, how, transformed, seed):
+    # an isotopy keeps every input block, so the test on the lambda of a
+    # standard isotope decides the subsets of the cube itself
+    rng = random.Random(seed)
+    cube = gen_semilinear(how(n, rng))
+    if transformed:
+        cube = apply_transform(cube, random_transform(n, 4, rng))
+    lam = _isotope_lambda(cube)
+    assert lam is not None
     block = _block_test(lam)
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
             assert screen_passes(block, n, subset) == (factor_on_subset(cube, subset) is not None)
+
+
+def test_transformed_decomposable_lambdas_need_one_exact_check(monkeypatch):
+    # the block test on the lambda of a standard isotope passes only true
+    # blocks, so the one exact check is the witness's, and the restriction
+    # screen is never built
+    calls = []
+
+    def counted(c, subset):
+        calls.append(subset)
+        return factor_on_subset(c, subset)
+
+    monkeypatch.setattr(algebra, "factor_on_subset", counted)
+    monkeypatch.setattr(algebra, "_restriction_screen", None)
+    for n in range(4, 8):
+        rng = random.Random(n)
+        cube = apply_transform(gen_semilinear(_decomposable_lambda(n, rng)), random_transform(n, 4, rng))
+        assert detect_semilinear(cube) is None
+        calls.clear()
+        found = find_factorization(cube)
+        assert found is not None and calls == [found.inner_vars]
 
 
 # ---------------------------------------------------------------------------

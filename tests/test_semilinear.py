@@ -321,6 +321,16 @@ def test_zero_criterion_agrees_with_formula():
         assert zero_transversal_criterion(lam) == (count_transversals_formula(lam) == 0)
 
 
+def test_zero_criterion_holds_for_exactly_the_shifted_weight_rules_at_arity_four():
+    # all 65536 lambdas: the criterion picks out lambda_z4(4) plus each of
+    # the 32 affine functions, the set the enumerator is checked on in
+    # test_enumerator_at_the_zero_transversal_boundary
+    z4 = lambda_z4(4).bits
+    affine = [tuple(a0 ^ ((z & mask).bit_count() & 1) for z in range(16)) for a0 in range(2) for mask in range(16)]
+    zero = [lam.bits for lam in all_lambdas(4) if zero_transversal_criterion(lam)]
+    assert sorted(zero) == sorted(tuple(x ^ y for x, y in zip(z4, aff)) for aff in affine)
+
+
 # ---------------------------------------------------------------------------
 # Delta reports
 # ---------------------------------------------------------------------------
