@@ -153,12 +153,10 @@ def detect_semilinear(cube: LatinHypercube) -> BooleanFn | None:
 def _isotope_lambda(cube: LatinHypercube) -> BooleanFn | None:
     """The lam of a standardly semilinear isotope of an order-4 cube, or None.
 
-    A split pairs f(0) with another symbol, and each input's side map is
-    read off its axis line through 0; f(x) must lie on the side of f(0),
-    flipped once for each input off its own side.  That side table is built
-    from the last axis, each step checked against the cube's prefix of its
-    length.  With every split relabelled as the high bit, each order-2 block
-    is an XOR plus a constant, which detect_semilinear reads as lam."""
+    For each pairing of f(0), f(x) must lie on f(0)'s side flipped once per
+    input off its own side (read on its axis line through 0), checked on a
+    growing prefix.  With each pairing relabelled as the high bit, every
+    order-2 block is an XOR plus a constant, so detect_semilinear reads lam."""
     from .algebra import apply_isotopy
 
     n, values = cube.n, cube.values

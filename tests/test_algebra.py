@@ -490,18 +490,18 @@ def _one_point_cube(n: int, point: int):
 
 def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch):
     # irreducible cubes: the plain sweep reads the whole cube for each of
-    # the 246 subsets at arity 8 and 501 at arity 9, and the test on lambda
-    # rules out every one; lambda the majority of nine inputs passes the
-    # restriction screen at its two corners for every subset, the random
-    # lambda for none
+    # the 246 subsets at arity 8 and 501 at arity 9, and both screens rule
+    # out every one; lambda the majority of nine inputs passes the
+    # restriction screen at the two fixed corners for every subset, and
+    # fails at a random one
     cubes = [
-        (gen_semilinear(random_lambda(8, random.Random(1))), 0),
-        (gen_semilinear(BooleanFn(9, tuple(int(z.bit_count() >= 5) for z in range(512)))), 501),
+        gen_semilinear(random_lambda(8, random.Random(1))),
+        gen_semilinear(BooleanFn(9, tuple(int(z.bit_count() >= 5) for z in range(512)))),
     ]
     calls = _exact_checks(monkeypatch)
-    for cube, passed in cubes:
+    for cube in cubes:
         assert find_factorization(cube) is None
-        assert len(_restriction_passes(cube)) == passed
+        assert _restriction_passes(cube) == []
     assert calls == []
 
 
@@ -518,28 +518,47 @@ def test_factorization_of_the_and_lambda_needs_no_exact_check(monkeypatch):
 
 def test_factorization_of_one_point_lambdas_needs_no_exact_check(monkeypatch):
     # a lambda with a single one is near affine: the restrictions at the
-    # all-0 and all-3 corners let 6062 subsets of these 128 cubes through,
-    # and the test on lambda none of them
+    # all-0 and all-3 corners alone let 6062 subsets through to the exact
+    # check over these 128 cubes, the random corners of the restriction
+    # screen none, and the test on lambda none either
     calls = _exact_checks(monkeypatch)
-    passed = 0
     for point in range(128):
         cube = _one_point_cube(7, point)
         assert find_factorization(cube) is None
-        passed += len(_restriction_passes(cube))
+        assert _restriction_passes(cube) == []
     assert calls == []
-    assert passed == 6062
 
 
 def test_factorization_of_isotoped_one_point_lambdas_needs_no_exact_check(monkeypatch):
-    # an isotopy hides lambda from detect_semilinear, but not from the test
-    # on the lambda of a standard isotope, which rules out every subset of
-    # these 19 cubes; the restriction screen would pass 921 of them
+    # an isotopy hides lambda from detect_semilinear, but find_factorization
+    # reads it off a standard isotope, and the test on it rules out every
+    # subset of these 19 cubes; the restriction screen's two fixed corners
+    # alone would pass 921
     calls = _exact_checks(monkeypatch)
+    monkeypatch.setattr(algebra, "_restriction_screen", None)
     for point in range(0, 128, 7):
         cube = apply_isotopy(_one_point_cube(7, point), random_isotopy(7, 4, random.Random(point)))
         assert detect_semilinear(cube) is None
         assert find_factorization(cube) is None
     assert calls == []
+
+
+def test_factorization_of_a_hidden_near_affine_factor_needs_one_exact_check(monkeypatch):
+    # Z4 over an isotoped arity-7 one-point lambda cube: Z4 pairs its symbols
+    # only by parity, and the inner output pairing is another, so the whole
+    # cube has no standard semilinear isotope and meets the restriction
+    # screen; its random corners let no subset through before the witness,
+    # where the two fixed corners alone let 27 to 72 through
+    inner_vars = tuple(range(1, 8))
+    calls = _exact_checks(monkeypatch)
+    for seed in (0, 1, 4, 5):
+        rng = random.Random(seed)
+        inner = apply_isotopy(_one_point_cube(7, rng.randrange(128)), random_isotopy(7, 4, rng))
+        cube = TwoLevelComposition(cyclic_cube(2), inner, inner_vars).compose()
+        assert semilinear._isotope_lambda(cube) is None
+        calls.clear()
+        assert find_factorization(cube).inner_vars == inner_vars
+        assert calls == [inner_vars]
 
 
 @pytest.mark.parametrize(
