@@ -364,13 +364,10 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
         raise ValueError(f"reducibility needs arity >= 3, got {n}")
     if cube.size > ENVELOPE_MAX_CELLS:
         raise EnvelopeError(f"factorization supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
-    lam = None
-    if cube.q == 4:
-        from .semilinear import _block_test, _isotope_lambda, detect_semilinear
+    from .semilinear import _block_test, _semilinear_isotope
 
-        # detect_semilinear reads a standard cube without relabelling: 0.8 ms against 3.7 at arity 9 (2 vCPU)
-        lam = detect_semilinear(cube) or _isotope_lambda(cube)
-    block = cache(_restriction_screen(cube) if lam is None else _block_test(lam))
+    found = _semilinear_isotope(cube) if cube.q == 4 else None
+    block = cache(_restriction_screen(cube) if found is None else _block_test(found[0]))
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
             rest = [k for k in range(1, n + 1) if k not in subset]

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, takewhile
+from operator import itemgetter
 from typing import Iterator
 
 from .core import (
@@ -114,63 +115,65 @@ def lambda_z22(n: int) -> BooleanFn:
 # Building and recognizing standardly semilinear cubes
 # ---------------------------------------------------------------------------
 
-_XOR = [bytes(v ^ x for v in range(4)) + bytes(252) for x in range(4)]
-
-
 def gen_semilinear(lam: BooleanFn) -> LatinHypercube:
     """Order-4 cube with f(x) = x1 ^ ... ^ xn ^ lam(l(x1)..l(xn))."""
-    n = lam.n
-    check_scale(n, 4)
-    # tables[p] is the table over the last axes for the pair bits p of the
-    # axes before them, starting from the lam bits; one more axis in front
-    # pairs the tables for l(x) = 0 and 1, each copy XOR-ed with x
-    tables = [bytes([b]) for b in lam.bits]
-    for _ in range(n):
-        tables = [b"".join([lo, lo.translate(_XOR[1]), hi.translate(_XOR[2]), hi.translate(_XOR[3])])
+    check_scale(lam.n, 4)
+    return LatinHypercube(lam.n, 4, _semilinear_table(lam.bits, [(0, 1, 2, 3)] * (lam.n + 1)))
+
+
+def _semilinear_table(bits, labels) -> bytes:
+    """The table that relabelled by `labels`, one symbol -> label map per
+    role with the output first, is gen_semilinear of the orientation bits."""
+    leaf, x1, x2, x3 = _output_xors(labels[0])
+    # tables[p] is the table over the last axes at pair bits p of the axes
+    # before them; an axis in front takes each symbol's pair-bit table, label XOR-ed in
+    tables = list(map(leaf.__getitem__, bits))
+    for lab in reversed(labels[1:]):
+        pick = itemgetter(*lab)
+        tables = [b"".join(pick([lo, lo.translate(x1), hi.translate(x2), hi.translate(x3)]))
                   for lo, hi in zip(tables[::2], tables[1::2])]
-    return LatinHypercube(n, 4, tables[0])
+    return tables[0]
+
+
+@lru_cache(maxsize=None)
+def _output_xors(out):
+    """The symbols of output labels 0 and 1, and the tables XOR-ing 1, 2, 3 into an output label."""
+    symbol = sorted(range(4), key=out.__getitem__)
+    leaf = [bytes([symbol[0]]), bytes([symbol[1]])]
+    return leaf, *(bytes(symbol[out[v] ^ c] for v in range(4)) + bytes(252) for c in (1, 2, 3))
 
 
 def detect_semilinear(cube: LatinHypercube) -> BooleanFn | None:
-    """Recover the orientation function, or None if the cube is not exactly
-    of the gen_semilinear form.
-
-    The only candidate is read at the 2^n cells x = 2h, where x1 ^ .. ^ xn
-    is twice the parity of h; the cube is semilinear exactly when the cube
-    built from it is the same table.
-    """
+    """The orientation function of a cube that is gen_semilinear of it, else
+    None: _semilinear_isotope finds the cube with every label the identity."""
     if cube.q != 4:
         raise UnsupportedOrderError(f"semilinearity is an order-4 notion, got q={cube.q}")
+    found = _semilinear_isotope(cube)
+    return found[0] if found and all(lab == (0, 1, 2, 3) for lab in found[1]) else None
+
+
+def _semilinear_isotope(cube: LatinHypercube):
+    """(lam, labels) when relabelling an order-4 cube by labels, one symbol ->
+    label map per role with the output first, gives gen_semilinear(lam), else
+    None.  A role's labels put one side of a pairing in the high bit, in symbol
+    order within a side: the output pairs f(0) with each other symbol in turn,
+    and an input's sides are f's on its axis line through 0, as f's high bit is
+    the XOR of the inputs'.  Labellings with the same pairings differ by XORs
+    with constants and pair bits, which keep a cube standardly semilinear, so
+    the test is exact; a standard cube's first pairing gets identity labels."""
     n, values = cube.n, cube.values
-    corners = cell_sums([(0, 2 * 4 ** (n - i)) for i in range(1, n + 1)])
-    bits = tuple(values[idx] ^ (h.bit_count() & 1) << 1 for h, idx in enumerate(corners))
-    if max(bits) > 1:
-        return None
-    lam = BooleanFn(n, bits)
-    return lam if gen_semilinear(lam).values == values else None
-
-
-def _isotope_lambda(cube: LatinHypercube) -> BooleanFn | None:
-    """The lam of a standardly semilinear isotope of an order-4 cube, or None.
-
-    For each pairing of f(0), f(x) must lie on f(0)'s side flipped once per
-    input off its own side (read on its axis line through 0), checked on a
-    growing prefix.  With each pairing relabelled as the high bit, every
-    order-2 block is an XOR plus a constant, so detect_semilinear reads lam."""
-    from .algebra import apply_isotopy
-
-    n, values = cube.n, cube.values
-    for partner in {0, 1, 2, 3} - {values[0]}:
+    lines = [values[: 4 ** (n - i + 1) : 4 ** (n - i)] for i in range(1, n + 1)]
+    for partner in (v for v in range(4) if v != values[0]):
         side = bytes(v not in (values[0], partner) for v in range(4)) + bytes(252)
-        lines = [values[: 4 ** (n - i + 1) : 4 ** (n - i)].translate(side) for i in range(1, n + 1)]
-        table = b"\0"
-        for line in reversed(lines):
-            table = b"".join([table.translate(_XOR[b]) for b in line])
-            if table != values[: len(table)].translate(side):
-                break
-        else:
-            perms = [sorted(range(4), key=s.__getitem__) for s in (side, *lines)]
-            return detect_semilinear(apply_isotopy(cube, perms))
+        labels = [tuple(map(sorted(range(4), key=sd.__getitem__).index, range(4)))
+                  for sd in (side[:4], *(line.translate(side) for line in lines))]
+        # lam is read at the cells whose input labels are 2h (symbol 0 is
+        # labelled 0), up to the first off the side of h's parity
+        corners = cell_sums([(0, lab.index(2) * 4 ** (n - i)) for i, lab in enumerate(labels[1:], 1)])
+        read = (labels[0][values[idx]] ^ (h.bit_count() & 1) << 1 for h, idx in enumerate(corners))
+        bits = tuple(takewhile((2).__gt__, read))
+        if len(bits) == 1 << n and _semilinear_table(bits, labels) == values:
+            return BooleanFn(n, bits), labels
     return None
 
 

@@ -223,6 +223,25 @@ def reference_detect_semilinear(cube):
     return BooleanFn(n, tuple(bits))
 
 
+# The three ways to pair the symbols of order 4, each a label -> symbol map
+# with the first pair labelled 0 and 1
+_PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+
+
+def reference_semilinear_isotope(cube) -> bool:
+    """Whether some isotopy turns an order-4 cube into one that
+    reference_detect_semilinear accepts.  Each input ranges over its 3
+    pairings: reordering an input within or across its pairs XORs its
+    labels with a constant or with their pair bit, which lam and an output
+    relabelling absorb.  So the output ranges over all 24 permutations;
+    swapping an input's two pairs, say, flips the output's high bit."""
+    return any(
+        reference_detect_semilinear(reference_isotopy(cube, [out, *inputs])) is not None
+        for out in permutations(range(4))
+        for inputs in product(_PAIRINGS, repeat=cube.n)
+    )
+
+
 def reference_isotopy(cube, perms):
     """R[s1^-1(x1)..sn^-1(xn)] = s0^-1(Q[x1..xn])."""
     n, q = cube.n, cube.q

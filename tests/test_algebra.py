@@ -531,9 +531,9 @@ def test_factorization_of_one_point_lambdas_needs_no_exact_check(monkeypatch):
 
 def test_factorization_of_isotoped_one_point_lambdas_needs_no_exact_check(monkeypatch):
     # an isotopy hides lambda from detect_semilinear, but find_factorization
-    # reads it off a standard isotope, and the test on it rules out every
-    # subset of these 19 cubes; the restriction screen's two fixed corners
-    # alone would pass 921
+    # reads it through a relabelling of each role, and the test on it rules
+    # out every subset of these 19 cubes; the restriction screen's two
+    # fixed corners alone would pass 921
     calls = _exact_checks(monkeypatch)
     monkeypatch.setattr(algebra, "_restriction_screen", None)
     for point in range(0, 128, 7):
@@ -555,7 +555,7 @@ def test_factorization_of_a_hidden_near_affine_factor_needs_one_exact_check(monk
         rng = random.Random(seed)
         inner = apply_isotopy(_one_point_cube(7, rng.randrange(128)), random_isotopy(7, 4, rng))
         cube = TwoLevelComposition(cyclic_cube(2), inner, inner_vars).compose()
-        assert semilinear._isotope_lambda(cube) is None
+        assert semilinear._semilinear_isotope(cube) is None
         calls.clear()
         assert find_factorization(cube).inner_vars == inner_vars
         assert calls == [inner_vars]

@@ -4,6 +4,8 @@ half tables key their levels) and on generic order-5 cubes, which are
 neither composition trees nor semilinear; the work budget's early refusal against
 the total an unbounded count books; the whole-buffer file routines
 and table builders against their cell-by-cell references; the
+semilinear detector against a search over every relabelling, and every
+order-4 cube semilinear up to isotopy or reducible; the
 factorization search against the plain subset sweep, and the exact block
 tests against the all-corner ternary test and, for semilinear cubes and
 their transforms, the test read from lambda; the zero-sum
@@ -41,6 +43,7 @@ from helpers import (
     reference_plane_parity,
     reference_replace_leaf_pair_op,
     reference_semilinear,
+    reference_semilinear_isotope,
     reference_serialize_lhc,
     reference_transversals_by_quadruple,
     reference_two_level,
@@ -84,6 +87,7 @@ from lhc import (
     zero_transversal_criterion,
 )
 from lhc import algebra, engine
+from lhc.algebra import inverse_permutation
 from lhc.cli import main
 from lhc.core import _parse_tokens
 from lhc.randgen import (
@@ -96,17 +100,17 @@ from lhc.randgen import (
     random_tree,
     random_two_level,
 )
-from lhc.semilinear import _block_test, _isotope_lambda, _shifts, _zero_sum_brindled
+from lhc.semilinear import _block_test, _semilinear_isotope, _shifts, _zero_sum_brindled
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 seeds = st.integers(0, 2**32 - 1)
 
 
-def _generic_cube(rng):
-    """A generic q=5, n=3 cube; a try that reaches the step cap starts
-    afresh from where the generator left rng."""
+def _generic_cube(rng, n=3, q=5):
+    """A generic cube, by default q=5 and n=3; a try that reaches the step
+    cap starts afresh from where the generator left rng."""
     while True:
-        cube = generic_cube(3, 5, rng, max_steps=20_000)
+        cube = generic_cube(n, q, rng, max_steps=20_000)
         if cube is not None:
             return cube
 
@@ -416,6 +420,45 @@ def test_detect_semilinear_matches_reference(n, how, seed):
     assert detect_semilinear(cube) == reference_detect_semilinear(cube)
 
 
+def _order_four_cube(n, how, rng):
+    if how == "random":
+        return random_quasigroup(n, 4, rng)
+    if how == "generic":
+        return _generic_cube(rng, n, 4)
+    if how == "tree":
+        return compose(random_tree(n, 4, rng))
+    return apply_transform(gen_semilinear(random_lambda(n, rng)), random_transform(n, 4, rng))
+
+
+@settings(BUILDERS, max_examples=50)
+@given(n=st.integers(1, 3), how=st.sampled_from(["random", "generic", "transformed semilinear"]), seed=seeds)
+@example(n=3, how="generic", seed=1)  # no semilinear isotope
+def test_semilinear_isotope_matches_reference(n, how, seed):
+    # the oracle tries every relabelling; the detector's labels undo the
+    # isotopy it finds, and are all the identity exactly on standard cubes
+    cube = _order_four_cube(n, how, random.Random(seed))
+    found = _semilinear_isotope(cube)
+    assert (found is not None) == reference_semilinear_isotope(cube)
+    if found is not None:
+        lam, labels = found
+        assert reference_isotopy(cube, [inverse_permutation(lab) for lab in labels]) == gen_semilinear(lam)
+    standard = found is not None and all(lab == (0, 1, 2, 3) for lab in found[1])
+    assert (detect_semilinear(cube) is not None) == standard
+
+
+@settings(PROPERTY, max_examples=300)
+@given(n=st.integers(3, 4), how=st.sampled_from(["random", "generic", "tree"]), transformed=st.booleans(),
+       seed=seeds)
+def test_order_four_cubes_are_semilinear_or_reducible(n, how, transformed, seed):
+    # Krotov and Potapov: every order-4 quasigroup is semilinear up to
+    # isotopy or reducible
+    rng = random.Random(seed)
+    cube = _order_four_cube(n, how, rng)
+    if transformed:
+        cube = apply_transform(cube, random_transform(n, 4, rng))
+    assert _semilinear_isotope(cube) is not None or find_factorization(cube) is not None
+
+
 # ---------------------------------------------------------------------------
 # Factorization through the restriction screen against the plain sweep
 # ---------------------------------------------------------------------------
@@ -432,7 +475,7 @@ def _factorization_instance(n, q, how, rng):
         return gen_semilinear(random_lambda(n, rng))
     if how == "sparse semilinear":
         # half of them transformed, which hides lambda from detect_semilinear
-        # but not from the standard isotope find_factorization reads it from
+        # but not from the detector find_factorization reads it with
         cube = gen_semilinear(_sparse_lambda(n, rng))
         if rng.random() < 0.5:
             cube = apply_transform(cube, random_transform(n, 4, rng))
@@ -516,9 +559,9 @@ def test_lambda_block_test_matches_factor_on_subset(n, how, transformed, seed):
     cube = gen_semilinear(how(n, rng))
     if transformed:
         cube = apply_transform(cube, random_transform(n, 4, rng))
-    lam = _isotope_lambda(cube)
-    assert lam is not None
-    block = _block_test(lam)
+    found = _semilinear_isotope(cube)
+    assert found is not None
+    block = _block_test(found[0])
     for size in range(2, n):
         for subset in combinations(range(1, n + 1), size):
             assert screen_passes(block, n, subset) == (factor_on_subset(cube, subset) is not None)

@@ -14,6 +14,7 @@ from lhc import (
     DeltaClass,
     DeltaReport,
     EnvelopeError,
+    LatinHypercube,
     ParseError,
     PlaneParity,
     Quadruple,
@@ -37,7 +38,7 @@ from lhc import (
 )
 from lhc.algebra import GroupKind
 from lhc.randgen import random_lambda
-from lhc.semilinear import MAX_BRINDLED, _brindled_directions, _brindled_rows
+from lhc.semilinear import MAX_BRINDLED, _brindled_directions, _brindled_rows, _semilinear_isotope
 from lhc.verify import _even_xor_count, _odd_group_count
 
 
@@ -103,6 +104,14 @@ def test_detect_roundtrip_all_n3():
 
 def test_detect_rejects_raw_cyclic_group():
     assert detect_semilinear(gen_iterated_group(GroupKind.Z4, 2, 4)) is None
+
+
+def test_detect_rejects_a_table_that_is_not_latin():
+    # the line 0, 2, 3, 2 puts three input symbols on one side of the pairing
+    # {0, 1} | {2, 3}, though both cells read for lambda lie on their sides
+    cube = LatinHypercube(1, 4, bytes([0, 2, 3, 2]))
+    assert detect_semilinear(cube) is None
+    assert _semilinear_isotope(cube) is None
 
 
 def test_parse_lambda_forms():
