@@ -13,7 +13,6 @@ import math
 from enum import Enum
 from functools import cache
 from itertools import combinations
-from random import Random
 from typing import TYPE_CHECKING
 
 from .core import ENVELOPE_MAX_CELLS, EnvelopeError, LatinHypercube, Record, StructuralError, check_scale
@@ -378,34 +377,35 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
     return None
 
 
-# Corners drawn at random for _restriction_screen, besides every input at
-# 0 and every input at q-1: they rule out the subsets of a near-affine
-# factor whose pairing the whole cube does not share.
-_RANDOM_CORNERS = 30
-
-
 def _restriction_screen(cube: LatinHypercube):
     """The triple test that every block passes: block(i, j, k) holds when
     {i, j} is a block of the ternary restriction to (x_i, x_j, x_k) with
-    the other inputs fixed at each corner, since fixing them anywhere turns
-    outer(inner(x_S), x_rest) with i, j in S and k outside it into
-    G(H(x_i, x_j), x_k).  The corners are every input at 0, every input at
-    q-1 and _RANDOM_CORNERS drawn from a fixed seed, so every run does the
-    same work."""
+    the other inputs all at 0 and all at q-1, since fixing them anywhere
+    turns outer(inner(x_S), x_rest) with i, j in S and k outside it into
+    G(H(x_i, x_j), x_k).  At q = 4 the triple must also pass the exact test
+    on the lam of each restriction to x_r = 0, r not in it, that has a
+    semilinear isotope: S, or S without r, is a block of that restriction."""
+    from .semilinear import _block_test, _semilinear_isotope
+
     n, q, values = cube.n, cube.q, cube.values
     stride = [q ** (n - v) for v in range(n + 1)]
-    rng = Random(0)
-    corners = [0, len(values) - 1, *(rng.randrange(len(values)) for _ in range(_RANDOM_CORNERS))]
+
+    @cache
+    def restricted(r: int):
+        # the restriction numbers the inputs past r v - 1
+        found = _semilinear_isotope(LatinHypercube(n - 1, q, bytes(slabs(values, q, stride[r], [0])[0])))
+        return _block_test(found[0]) if found else lambda *triple: True
 
     def block(i: int, j: int, k: int) -> bool:
         si, sj, sk = stride[i], stride[j], stride[k]
         plane = [x * si + y * sj for x in range(q) for y in range(q)]
-        # the corners with x_i, x_j and x_k at 0, each once, in order
-        for start in dict.fromkeys(c - c // si % q * si - c // sj % q * sj - c // sk % q * sk for c in corners):
-            # the column over x_k at each (x_i, x_j) is an extended slice
+        # x_i, x_j and x_k at 0 at either corner; the column over x_k at
+        # each (x_i, x_j) is an extended slice
+        for start in {0, len(values) - 1 - (q - 1) * (si + sj + sk)}:
             if len({values[start + b : start + b + q * sk : sk] for b in plane}) > q:
                 return False
-        return True
+        others = (r for r in range(1, n + 1) if r not in (i, j, k))
+        return q != 4 or all(restricted(r)(*(v - (v > r) for v in (i, j, k))) for r in others)
 
     return block
 

@@ -182,22 +182,23 @@ def _axis_sums(weights) -> list[int]:
     return sums
 
 
-def slabs(values, q: int, stride: int) -> list:
-    """The q slabs of a table along the axis of `stride`: slab x holds, in
-    index order, the cells whose coordinate on that axis is x.  Joined in
-    order they give the table with that axis moved to the front.
+def slabs(values, q: int, stride: int, symbols=None) -> list:
+    """Slab x of a table along the axis of `stride`, for each x in `symbols`
+    (all q when None), holds in index order the cells whose coordinate on
+    that axis is x.  All q, joined in order, move that axis to the front.
 
     A slab is len(values)/(q*stride) runs of `stride` cells; they are
     joined when they are no more than the cells of one run, else the slab
     is copied as `stride` extended slices.
     """
     step = q * stride
+    symbols = range(q) if symbols is None else symbols
     if len(values) <= step * stride:
-        return [b"".join([values[o : o + stride] for o in range(x * stride, len(values), step)]) for x in range(q)]
+        return [b"".join([values[o : o + stride] for o in range(x * stride, len(values), step)]) for x in symbols]
     if stride == 1:
-        return [values[x::q] for x in range(q)]
-    parts = [bytearray(len(values) // q) for _ in range(q)]
-    for x, part in enumerate(parts):
+        return [values[x::q] for x in symbols]
+    parts = [bytearray(len(values) // q) for _ in symbols]
+    for x, part in zip(symbols, parts):
         for j in range(stride):
             part[j::stride] = values[x * stride + j :: step]
     return parts

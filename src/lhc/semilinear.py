@@ -121,9 +121,10 @@ def gen_semilinear(lam: BooleanFn) -> LatinHypercube:
     return LatinHypercube(lam.n, 4, _semilinear_table(lam.bits, [(0, 1, 2, 3)] * (lam.n + 1)))
 
 
-def _semilinear_table(bits, labels) -> bytes:
+def _semilinear_table(bits, labels, values=b"") -> bytes | None:
     """The table that relabelled by `labels`, one symbol -> label map per
-    role with the output first, is gen_semilinear of the orientation bits."""
+    role with the output first, is gen_semilinear of the orientation bits;
+    given a cube's `values`, None once a prefix it builds differs from theirs."""
     leaf, x1, x2, x3 = _output_xors(labels[0])
     # tables[p] is the table over the last axes at pair bits p of the axes
     # before them; an axis in front takes each symbol's pair-bit table, label XOR-ed in
@@ -132,6 +133,8 @@ def _semilinear_table(bits, labels) -> bytes:
         pick = itemgetter(*lab)
         tables = [b"".join(pick([lo, lo.translate(x1), hi.translate(x2), hi.translate(x3)]))
                   for lo, hi in zip(tables[::2], tables[1::2])]
+        if values and not values.startswith(tables[0]):
+            return None
     return tables[0]
 
 
@@ -148,11 +151,11 @@ def detect_semilinear(cube: LatinHypercube) -> BooleanFn | None:
     None: _semilinear_isotope finds the cube with every label the identity."""
     if cube.q != 4:
         raise UnsupportedOrderError(f"semilinearity is an order-4 notion, got q={cube.q}")
-    found = _semilinear_isotope(cube)
-    return found[0] if found and all(lab == (0, 1, 2, 3) for lab in found[1]) else None
+    found = _semilinear_isotope(cube, standard=True)
+    return found[0] if found else None
 
 
-def _semilinear_isotope(cube: LatinHypercube):
+def _semilinear_isotope(cube: LatinHypercube, standard: bool = False):
     """(lam, labels) when relabelling an order-4 cube by labels, one symbol ->
     label map per role with the output first, gives gen_semilinear(lam), else
     None.  A role's labels put one side of a pairing in the high bit, in symbol
@@ -160,19 +163,22 @@ def _semilinear_isotope(cube: LatinHypercube):
     and an input's sides are f's on its axis line through 0, as f's high bit is
     the XOR of the inputs'.  Labellings with the same pairings differ by XORs
     with constants and pair bits, which keep a cube standardly semilinear, so
-    the test is exact; a standard cube's first pairing gets identity labels."""
+    the test is exact.  With `standard`, only identity labels are tried: a
+    standard cube's first pairing gets them, and no other pairing can."""
     n, values = cube.n, cube.values
     lines = [values[: 4 ** (n - i + 1) : 4 ** (n - i)] for i in range(1, n + 1)]
     for partner in (v for v in range(4) if v != values[0]):
         side = bytes(v not in (values[0], partner) for v in range(4)) + bytes(252)
         labels = [tuple(map(sorted(range(4), key=sd.__getitem__).index, range(4)))
                   for sd in (side[:4], *(line.translate(side) for line in lines))]
+        if standard and labels != [(0, 1, 2, 3)] * (n + 1):
+            return None
         # lam is read at the cells whose input labels are 2h (symbol 0 is
         # labelled 0), up to the first off the side of h's parity
         corners = cell_sums([(0, lab.index(2) * 4 ** (n - i)) for i, lab in enumerate(labels[1:], 1)])
         read = (labels[0][values[idx]] ^ (h.bit_count() & 1) << 1 for h, idx in enumerate(corners))
         bits = tuple(takewhile((2).__gt__, read))
-        if len(bits) == 1 << n and _semilinear_table(bits, labels) == values:
+        if len(bits) == 1 << n and _semilinear_table(bits, labels, values):
             return BooleanFn(n, bits), labels
     return None
 

@@ -492,8 +492,8 @@ def test_factorization_rejects_most_subsets_without_reading_the_cube(monkeypatch
     # irreducible cubes: the plain sweep reads the whole cube for each of
     # the 246 subsets at arity 8 and 501 at arity 9, and both screens rule
     # out every one; lambda the majority of nine inputs passes the
-    # restriction screen at the two fixed corners for every subset, and
-    # fails at a random one
+    # restriction screen's two corners for every subset, and fails the test
+    # on the lambda of a restriction to one input at 0
     cubes = [
         gen_semilinear(random_lambda(8, random.Random(1))),
         gen_semilinear(BooleanFn(9, tuple(int(z.bit_count() >= 5) for z in range(512)))),
@@ -519,8 +519,8 @@ def test_factorization_of_the_and_lambda_needs_no_exact_check(monkeypatch):
 def test_factorization_of_one_point_lambdas_needs_no_exact_check(monkeypatch):
     # a lambda with a single one is near affine: the restrictions at the
     # all-0 and all-3 corners alone let 6062 subsets through to the exact
-    # check over these 128 cubes, the random corners of the restriction
-    # screen none, and the test on lambda none either
+    # check over these 128 cubes, the tests on the lambdas of the
+    # restrictions to one input at 0 none, and the test on lambda none either
     calls = _exact_checks(monkeypatch)
     for point in range(128):
         cube = _one_point_cube(7, point)
@@ -544,21 +544,22 @@ def test_factorization_of_isotoped_one_point_lambdas_needs_no_exact_check(monkey
 
 
 def test_factorization_of_a_hidden_near_affine_factor_needs_one_exact_check(monkeypatch):
-    # Z4 over an isotoped arity-7 one-point lambda cube: Z4 pairs its symbols
-    # only by parity, and the inner output pairing is another, so the whole
-    # cube has no standard semilinear isotope and meets the restriction
-    # screen; its random corners let no subset through before the witness,
-    # where the two fixed corners alone let 27 to 72 through
-    inner_vars = tuple(range(1, 8))
+    # Z4 over an isotoped one-point lambda cube of arity 7 or 8: Z4 pairs its
+    # symbols only by parity, and the inner output pairing is another, so the
+    # whole cube has no standard semilinear isotope and meets the restriction
+    # screen; the tests on the lambdas of its restrictions to one input at 0
+    # let no subset through before the witness, where the two corners alone
+    # let 27 to 151 through, the witness included
     calls = _exact_checks(monkeypatch)
-    for seed in (0, 1, 4, 5):
-        rng = random.Random(seed)
-        inner = apply_isotopy(_one_point_cube(7, rng.randrange(128)), random_isotopy(7, 4, rng))
-        cube = TwoLevelComposition(cyclic_cube(2), inner, inner_vars).compose()
-        assert semilinear._semilinear_isotope(cube) is None
-        calls.clear()
-        assert find_factorization(cube).inner_vars == inner_vars
-        assert calls == [inner_vars]
+    for arity, inner_vars, seeds in ((7, tuple(range(1, 8)), (0, 1, 4, 5)), (8, tuple(range(2, 10)), (0, 1))):
+        for seed in seeds:
+            rng = random.Random(seed)
+            inner = apply_isotopy(_one_point_cube(arity, rng.randrange(1 << arity)), random_isotopy(arity, 4, rng))
+            cube = TwoLevelComposition(cyclic_cube(2), inner, inner_vars).compose()
+            assert semilinear._semilinear_isotope(cube) is None
+            calls.clear()
+            assert find_factorization(cube).inner_vars == inner_vars
+            assert calls == [inner_vars]
 
 
 @pytest.mark.parametrize(

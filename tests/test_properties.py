@@ -506,12 +506,19 @@ def test_find_factorization_matches_plain_sweep(n, q, how, seed):
 
 
 @PROPERTY
-@given(n=st.integers(3, 7), q=st.integers(2, 5), seed=seeds)
-def test_restriction_screen_keeps_every_block(n, q, seed):
+@given(n=st.integers(3, 7), q=st.integers(2, 5), semilinear_inner=st.booleans(), seed=seeds)
+def test_restriction_screen_keeps_every_block(n, q, semilinear_inner, seed):
     # the screen is a necessary condition: it passes the inner variables of
-    # any two-level split, whatever transforms hide the two factors
+    # any two-level split, whatever transforms hide the two factors; a binary
+    # outer over a semilinear inner of order 4 leaves restrictions to one
+    # input at 0 semilinear up to isotopy, so the tests on their lambdas
+    # must pass the inner variables too
     rng = random.Random(seed)
-    split = random_two_level(n, q, rng)
+    if q == 4 and semilinear_inner:
+        inner_vars = tuple(sorted(rng.sample(range(1, n + 1), n - 1)))
+        split = TwoLevelComposition(random_quasigroup(2, 4, rng), gen_semilinear(random_lambda(n - 1, rng)), inner_vars)
+    else:
+        split = random_two_level(n, q, rng)
     inner = apply_transform(split.inner, random_transform(split.inner.n, q, rng))
     outer = apply_transform(split.outer, random_transform(split.outer.n, q, rng))
     cube = TwoLevelComposition(outer, inner, split.inner_vars).compose()

@@ -36,7 +36,8 @@ from lhc import (
     validate_latin,
     zero_transversal_criterion,
 )
-from lhc.algebra import GroupKind
+from lhc import semilinear
+from lhc.algebra import GroupKind, apply_isotopy
 from lhc.randgen import random_lambda
 from lhc.semilinear import MAX_BRINDLED, _brindled_directions, _brindled_rows, _semilinear_isotope
 from lhc.verify import _even_xor_count, _odd_group_count
@@ -112,6 +113,32 @@ def test_detect_rejects_a_table_that_is_not_latin():
     cube = LatinHypercube(1, 4, bytes([0, 2, 3, 2]))
     assert detect_semilinear(cube) is None
     assert _semilinear_isotope(cube) is None
+
+
+def test_isotoped_one_point_cubes_complete_one_table(monkeypatch):
+    # the XOR cube is semilinear under all three pairings, so a wrong pairing
+    # of these isotoped one-point cubes passes every read of lambda and is
+    # dropped at the first axis where the table it builds leaves the cube's
+    # prefix; detect_semilinear, whose first pairing's labels are not all
+    # the identity, builds no table at all (the isotopy is that of the CI
+    # step "Near-affine classify is fast")
+    iso = "1,3,0,2 2,0,3,1 3,2,1,0 0,2,1,3 1,0,3,2 2,3,0,1 3,1,2,0 0,3,2,1 1,2,3,0 2,1,0,3 3,0,1,2"
+    table = semilinear._semilinear_table
+    built = []  # what each call returned: a whole table, or None
+
+    def counted(*args):
+        built.append(table(*args))
+        return built[-1]
+
+    monkeypatch.setattr(semilinear, "_semilinear_table", counted)
+    for point in (960, 147, 266):
+        lam = BooleanFn(10, tuple(int(z == point) for z in range(1024)))
+        cube = apply_isotopy(gen_semilinear(lam), [tuple(map(int, p.split(","))) for p in iso.split()])
+        built.clear()
+        assert detect_semilinear(cube) is None
+        assert built == []
+        assert _semilinear_isotope(cube) is not None
+        assert len([t for t in built if t is not None]) == 1
 
 
 def test_parse_lambda_forms():
