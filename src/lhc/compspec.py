@@ -19,7 +19,7 @@ import math
 import re
 
 from .algebra import BinaryOp, CompositionSpec, Leaf, Node, TransformSpec
-from .core import ParseError, StructuralError, _tokens
+from .core import MAX_ARITY, ParseError, StructuralError, _tokens
 
 _TOKEN = re.compile(r"\(|\)|\"[^\"]*\"|[^\s()\"]+|\"")  # a lone " is a token too
 
@@ -55,9 +55,10 @@ def parse_composition_spec(text: str) -> CompositionSpec:
             raise ParseError(f"expected a quoted {what}, got {tok[0]!r}", *tok[1:])
         return tok[0][1:-1], tok[1:]
 
-    def expr():
+    def expr(ops=0):
+        """One expression inside `ops` operations."""
         nonlocal q
-        take("(")
+        start = take("(")
         head = take()
         if head[0] == "var":
             var = integer()
@@ -68,6 +69,11 @@ def parse_composition_spec(text: str) -> CompositionSpec:
             return Leaf(var)
         if head[0] != "op":
             raise ParseError(f"expected 'var' or 'op', got {head[0]!r}", *head[1:])
+        # `ops` nested operations have at least ops + 1 leaves, more than any
+        # cube's arity once ops reaches MAX_ARITY: refuse before recursing
+        ops += 1
+        if ops >= MAX_ARITY:
+            raise ParseError(f"operations nested {ops} deep need more than {MAX_ARITY} variables", *start[1:])
         body, at = quoted("operation table")
         entries = body.split()
         order = math.isqrt(len(entries))
@@ -83,7 +89,7 @@ def parse_composition_spec(text: str) -> CompositionSpec:
             q = order
         elif order != q:
             raise ParseError(f"operation table has order {order}, the first one has order {q}", *at)
-        node = Node(op, expr(), expr())
+        node = Node(op, expr(ops), expr(ops))
         take(")")
         return node
 

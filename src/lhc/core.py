@@ -22,6 +22,9 @@ Cell = tuple[int, ...]
 # Desk-scale bounds for the representation itself.
 MAX_ORDER = 8
 MAX_CELLS = 1 << 24
+# The largest arity any order >= 2 reaches within MAX_CELLS, and the bound at
+# every order: q = 1 has one cell at any arity.
+MAX_ARITY = MAX_CELLS.bit_length() - 1
 # The tighter bound of the exact search, whose preparation holds one mask
 # per cell, and of find_factorization; engine and algebra both read it.
 ENVELOPE_MAX_CELLS = 1 << 20
@@ -223,12 +226,14 @@ def inverse_slabs(parts, symbols) -> list[bytes]:
 
 def check_scale(n: int, q: int) -> int:
     """The cell count q**n, or StructuralError when the order is not in
-    1..MAX_ORDER or the count exceeds MAX_CELLS.  Table builders call it
-    before they allocate."""
+    1..MAX_ORDER, the arity exceeds MAX_ARITY or the count exceeds
+    MAX_CELLS.  Table builders call it before they allocate."""
     if not 1 <= q <= MAX_ORDER:
         raise StructuralError(f"order must be in 1..{MAX_ORDER}, got {q}")
-    if q >= 2 and n >= MAX_CELLS.bit_length():
-        raise StructuralError(f"q**n = {q}**{n} exceeds the supported scale {MAX_CELLS}")
+    if n > MAX_ARITY:
+        if q >= 2:
+            raise StructuralError(f"q**n = {q}**{n} exceeds the supported scale {MAX_CELLS}")
+        raise StructuralError(f"arity {n} exceeds the supported maximum {MAX_ARITY}")
     size = q**n
     if size > MAX_CELLS:
         raise StructuralError(f"q**n = {size} exceeds the supported scale {MAX_CELLS}")
@@ -346,7 +351,7 @@ def parse_lhc(text: str) -> LatinHypercube:
         if head:
             n, q = int(head[1]), int(head[2])
             size = q**n
-            if n >= 1 and size <= MAX_CELLS:
+            if 1 <= n <= MAX_ARITY and size <= MAX_CELLS:
                 body = data[head.end() :]
                 digits = body.translate(None, _SPACE)
                 if (
@@ -396,6 +401,8 @@ def _parse_tokens(text: str) -> LatinHypercube:
     expected = q**n
     if expected > MAX_CELLS:
         raise ParseError(f"q**n = {expected} exceeds the supported scale", header_line, header[1][2])
+    if n > MAX_ARITY:  # order 1: one cell at any arity
+        raise ParseError(f"arity {n} exceeds the supported maximum {MAX_ARITY}", header_line, header[1][2])
 
     if len(body_tokens) > expected:
         tok, ln, col = body_tokens[expected]

@@ -19,20 +19,22 @@ for each state only the class's cells that miss that key, filtered once per
 key in index order, so the tables fill in the same order as from whole
 classes; each level still books len(table) * len(class) mask tests.
 
-Enumeration is a depth-first search over the classes 0..q-3 in table-index
-order with forward checking: each node hands its children, for every
-deeper depth-first class, the masks that miss its pick, and books its class
-size against the same work budget as the tables before anything is
-filtered for it.  The last two classes come from a table that maps each
-union mask to its disjoint cell pairs in index order, built by one loop
-over the pairs of the two classes (one class alone maps each mask to its
-cell).  A node on the last depth-first level gets no list or frame of its
-own: it walks its parent's list for its class, skips the masks that meet
-its pick and looks each other one up in that table at full ^ (mask used so
-far).  One generator frame yields every transversal, each a Transversal
-whose slot is filled directly rather than through the frozen __init__.
-The stream is lexicographic in the flattened, x0-sorted cell list and
-bitwise reproducible between runs.
+Enumeration is a depth-first search over the classes 0..q-3, padded below
+order 4 to two levels with classes of one empty pick (mask 0, no cells, no
+tests booked), in table-index order with forward checking: each node hands
+its children, for every deeper depth-first class, the masks that miss its
+pick, and books its class size against the same work budget as the tables
+before anything is filtered for it.  The last two classes come from a table
+that maps each union mask to its disjoint cell pairs in index order, built
+by one loop over the pairs of the two classes (one class alone maps each
+mask to its cell).  A node on the last depth-first level gets no list or
+frame of its own: it walks its parent's list for its class, skips the masks
+that meet its pick and looks each other one up in that table at full ^
+(mask used so far).  So one loop serves every order, and one generator
+frame yields every transversal, each a Transversal whose slot is filled
+directly rather than through the frozen __init__.  The stream is
+lexicographic in the flattened, x0-sorted cell list and bitwise
+reproducible between runs.
 
 Bucketing an order-4 cube's transversals by block quadruple lists none of
 them.  Each cell's mask carries its pair-indicator image (x0>>1, .., xn>>1)
@@ -276,33 +278,26 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
         width *= len(class_masks)
         _charge(stats, width)
     cells: list[list[Cell]] = [[] for _ in masks]
+    symbols = [(a,) for a in range(cube.q)]  # each cell is symbols[a] + x, one tuple built
     for a, x in zip(cube.values, product(range(cube.q), repeat=cube.n)):
-        cells[a].append((a,) + x)
+        cells[a].append(symbols[a] + x)
     tail = _tail_table(cells[depth:], masks[depth:])
     full = _full_mask(cube)
     # a yielded value is the frozen Record with its one slot filled directly,
     # without the per-field object.__setattr__ of its __init__
     new, fill = object.__new__, Transversal.cells.__set__
-    if not depth:
-        for pick in tail.get(full, ()):
-            t = new(Transversal)
-            fill(t, pick)
-            yield t
-        return
+    # masks becomes the depth-first classes, padded below order 4 with classes
+    # that book no tests and pick mask 0, cells (): 1-tuples concatenate at every level
+    pads = max(2 - depth, 0)
+    cell_of = [{0: ()}] * pads + [dict(zip(ms, zip(cs))) for ms, cs in zip(masks[:depth], cells)]
+    lists, masks = [[0]] * pads + masks[:depth], [[]] * pads + masks[:depth]
+    depth += pads
     _charge(stats, len(masks[0]))
-    if depth == 1:
-        for cell, m in zip(cells[0], masks[0]):
-            for pick in tail.get(full ^ m, ()):
-                t = new(Transversal)
-                fill(t, (cell,) + pick)
-                yield t
-        return
-    cell_of = [dict(zip(ms, cs)) for ms, cs in zip(masks[:depth], cells)]
     last, last_size = cell_of[-1], len(masks[depth - 1])
     # a node: the mask and cells picked so far, and for its own level and each
     # deeper depth-first level the masks that miss them, in index order; it
     # books its class in full before anything is filtered for its children
-    used, head, lists = 0, (), masks[:depth]
+    used, head = 0, ()
     frames = []  # per open level above the node: its picks left, used, head, deeper lists
     while True:
         if len(lists) > 2:
@@ -313,12 +308,12 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
             here, ahead = cell_of[depth - 2], lists[1]
             for m in lists[0]:
                 _charge(stats, last_size)
-                rest, chosen = full ^ used ^ m, head + (here[m],)
+                rest, chosen = full ^ used ^ m, head + here[m]
                 for x in ahead:
                     if not x & m:
                         picks = tail.get(rest ^ x)
                         if picks:
-                            at = chosen + (last[x],)
+                            at = chosen + last[x]
                             for pick in picks:
                                 t = new(Transversal)
                                 fill(t, at + pick)
@@ -333,7 +328,7 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
             return
         level = depth - len(lists)
         _charge(stats, len(masks[level]))
-        used, head = used | m, head + (cell_of[level - 1][m],)
+        used, head = used | m, head + cell_of[level - 1][m]
         lists = [[x for x in deeper if not x & m] for deeper in lists]
 
 

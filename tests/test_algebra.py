@@ -135,6 +135,7 @@ def test_generators_reject_oversized_tables_before_allocating():
         (lambda: gen_iterated_group(GroupKind.CYCLIC, 2, 300), f"{order} 300$"),
         (lambda: gen_iterated_group(GroupKind.CYCLIC, 2, 0), f"{order} 0$"),
         (lambda: gen_iterated_group(GroupKind.CYCLIC, 7, 9), f"{order} 9$"),
+        (lambda: gen_iterated_group(GroupKind.CYCLIC, 25, 1), "^arity 25 exceeds the supported maximum 24$"),
         (lambda: compose(wide), f"{order} 300$"),
     ]
     for build, message in builders:

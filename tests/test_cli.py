@@ -138,6 +138,18 @@ def test_gen_iterated_order_one_and_zero(tmp_path, capsys):
     )
 
 
+def test_order_one_arity_is_bounded(tmp_path, capsys):
+    # q**n is 1 at order 1: an unbounded arity would reach every layer
+    path = tmp_path / "wide.lhc"
+    path.write_text("LHC 10000000 1\n0\n")
+    message = "input error: line 1, column 5: arity 10000000 exceeds the supported maximum 24\n"
+    for command in ("classify", "transversals", "validate"):
+        assert run(capsys, command, str(path)) == (3, "", message)
+    assert run(capsys, "gen", "iterated", "--group", "cyclic", "--n", "10000000", "--q", "1") == (
+        3, "", "input error: arity 10000000 exceeds the supported maximum 24\n"
+    )
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])

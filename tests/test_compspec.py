@@ -7,7 +7,7 @@ import random
 import pytest
 
 from helpers import L0, Z4ADD
-from lhc import CompositionSpec, Leaf, Node, ParseError, TransformSpec, compose
+from lhc import CompositionSpec, LatinHypercube, Leaf, Node, ParseError, TransformSpec, compose
 from lhc.compspec import format_composition_spec, parse_composition_spec
 from lhc.fixtures import EXAMPLE_CUBE_2, load_fixture
 from lhc.randgen import random_parastrophe, random_permutation, random_tree
@@ -85,6 +85,33 @@ def test_clauses_parse_in_either_order():
     second = parse_composition_spec(f"{OP}\n(isotopy {I3})\n(parastrophe 1 0 2)")
     assert first == second
     assert second.post_transform == TransformSpec(((0, 1, 2, 3),) * 3, (1, 0, 2))
+
+
+def _chain(ops: int, table: str) -> str:
+    """A spec of `ops` operations, each nested in the left argument of the
+    one before, over the leaves ops + 1, ops, .., 1."""
+    text = f"(var {ops + 1})"
+    for v in range(ops, 0, -1):
+        text = f'(op "{table}" {text} (var {v}))'
+    return text
+
+
+def test_nesting_deeper_than_the_arity_bound_is_refused():
+    # d nested operations have at least d + 1 leaves, more than the 24 any
+    # cube may have once d reaches 24; the parser refuses the 24th "(op"
+    # before it recurses into it, at every order
+    for table in ("0", "0 1 1 0"):
+        text = _chain(2000, table)
+        with pytest.raises(ParseError) as exc:
+            parse_composition_spec(text)
+        column = 23 * len(f'(op "{table}" ') + 1
+        assert str(exc.value) == f"line 1, column {column}: operations nested 24 deep need more than 24 variables"
+
+
+def test_order_one_chain_of_twenty_four_leaves_composes():
+    spec = parse_composition_spec(_chain(23, "0"))
+    assert spec.n == 24
+    assert compose(spec) == LatinHypercube(24, 1, bytes(1))
 
 
 # (text, message, line, column) recorded from the parser as it stood before

@@ -88,6 +88,9 @@ def test_structural_errors_are_not_latin_violations():
         LatinHypercube(0, 2, b"")
     with pytest.raises(StructuralError):
         LatinHypercube(2, 9, bytes(81))
+    # order 1 has one cell at any arity, so its arity is bounded by itself
+    with pytest.raises(StructuralError, match=r"^arity 25 exceeds the supported maximum 24$"):
+        LatinHypercube(25, 1, bytes(1))
 
 
 @pytest.mark.parametrize("q", range(1, 9))
@@ -194,6 +197,9 @@ MALFORMED = [
     # the arity is bounded before q**n is computed, so no huge power is
     # built or printed
     ("LHC 20000 2\n0 1\n", "q**n = 2**20000 exceeds the supported scale", 1, 5),
+    # q**n is 1 at order 1, so the arity has a bound of its own; the plain
+    # route, which reads this header, hands it to the token route
+    ("LHC 25 1\n0\n", "arity 25 exceeds the supported maximum 24", 1, 5),
     ("", "empty input, expected 'LHC <n> <q>' header", 1, 1),
     ("# nothing\n   # here\n", "empty input, expected 'LHC <n> <q>' header", 1, 1),
     ("# head\nLHC 2 2\n0 1\n# between\n1 5\n", "symbol 5 out of range for order 2", 5, 3),

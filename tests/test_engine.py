@@ -367,6 +367,31 @@ def test_list_mode_books_each_level_once_on_one_stats(monkeypatch, make, count, 
     assert len({key for key, _ in booked}) == 1
 
 
+# (transversals, nonzero bookings, their total) of list mode below order 4:
+# the tail books |C| and |C| * |C'|, then order 3 books class 0 once; a
+# level with nothing to test may book 0, which is dropped here.
+PINNED_SMALL_BOOKINGS = [
+    (2, 3, 4, [4, 16], 20),
+    (3, 3, 27, [9, 81, 9], 99),
+    (3, 4, 135, [27, 729, 27], 783),
+]
+
+
+@pytest.mark.parametrize("q,n,count,bookings,total", PINNED_SMALL_BOOKINGS, ids=[f"cyclic q={p[0]} n={p[1]}" for p in PINNED_SMALL_BOOKINGS])
+def test_list_mode_books_the_same_below_order_four(monkeypatch, q, n, count, bookings, total):
+    booked = []
+    charge = engine._charge
+
+    def logged(stats, tests):
+        booked.append(tests)
+        charge(stats, tests)
+
+    monkeypatch.setattr(engine, "_charge", logged)
+    assert sum(1 for _ in enumerate_transversals(gen_iterated_group(GroupKind.CYCLIC, n, q))) == count
+    assert [tests for tests in booked if tests] == bookings
+    assert sum(booked) == total
+
+
 def test_oversized_tail_is_refused_before_the_cells_are_built():
     # xor n=8: classes of 16384 cells, so the tail's pair level would test
     # 16384^2 masks; one tuple per cell would take about 20 MB
