@@ -25,16 +25,20 @@ tests booked), in table-index order with forward checking: each node hands
 its children, for every deeper depth-first class, the masks that miss its
 pick, and books its class size against the same work budget as the tables
 before anything is filtered for it.  The last two classes come from a table
-that maps each union mask to its disjoint cell pairs in index order, built
-by one loop over the pairs of the two classes (one class alone maps each
-mask to its cell).  A node on the last depth-first level gets no list or
-frame of its own: it walks its parent's list for its class, skips the masks
-that meet its pick and looks each other one up in that table at full ^
-(mask used so far).  So one loop serves every order, and one generator
-frame yields every transversal, each a Transversal whose slot is filled
-directly rather than through the frozen __init__.  The stream is
-lexicographic in the flattened, x0-sorted cell list and bitwise
-reproducible between runs.
+that maps each union mask to its disjoint cell pairs in index order (at
+order 1, the one class maps its one cell's mask to that cell).  A lookup
+leaves two values of each coordinate free, so the pairs of one union share
+their two x1 values; the table is filled one such pair of x1 values at a
+time, when a lookup first misses on it, from the two classes' runs of
+cells with those x1 values.  So a first transversal tests only the pairs
+of the x1 values it reaches, not every pair of the two classes.  A node on
+the last depth-first level gets no list or frame of its own: it walks its
+parent's list for its class, skips the masks that meet its pick and looks
+each other one up in that table at full ^ (mask used so far).  So one loop
+serves every order, and one generator frame yields every transversal, each
+a Transversal whose slot is filled directly rather than through the frozen
+__init__.  The stream is lexicographic in the flattened, x0-sorted cell
+list and bitwise reproducible between runs.
 
 Bucketing an order-4 cube's transversals by block quadruple lists none of
 them.  Each cell's mask carries its pair-indicator image (x0>>1, .., xn>>1)
@@ -249,23 +253,23 @@ def enumerate_transversals(cube: LatinHypercube, limit: int | None = None) -> It
     return gen if limit is None else islice(gen, limit)
 
 
-def _tail_table(cells, masks) -> dict[int, list[tuple[Cell, ...]]]:
-    """Union mask -> disjoint picks from the last one or two classes, in
-    index order."""
-    if len(masks) == 1:
-        return {m: [(cell,)] for cell, m in zip(cells[0], masks[0])}
-    table: dict[int, list[tuple[Cell, ...]]] = {}
-    second = list(zip(cells[1], masks[1]))
-    for a, u in zip(cells[0], masks[0]):
-        for b, m in second:
-            if not u & m:
-                v = u | m
-                got = table.get(v)
-                if got is None:
-                    table[v] = [(a, b)]
-                else:
-                    got.append((a, b))
-    return table
+def _fill_tail(tail, key: int, first, second) -> None:
+    """Add to the tail table every disjoint pair from the last two classes
+    whose x1 values are the two in key, each union's pairs in index order.
+    first and second list each class's (cell, mask) pairs by x1 value.  Its
+    tests were booked with the tail's pair level, |C| * |C'| for all keys."""
+    lo, hi = (key & -key).bit_length() - 1, key.bit_length() - 1
+    for x, y in ((lo, hi), (hi, lo)):
+        others = second[y]
+        for a, u in first[x]:
+            for b, m in others:
+                if not u & m:
+                    v = u | m
+                    got = tail.get(v)
+                    if got is None:
+                        tail[v] = [(a, b)]
+                    else:
+                        got.append((a, b))
 
 
 def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
@@ -281,8 +285,16 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
     symbols = [(a,) for a in range(cube.q)]  # each cell is symbols[a] + x, one tuple built
     for a, x in zip(cube.values, product(range(cube.q), repeat=cube.n)):
         cells[a].append(symbols[a] + x)
-    tail = _tail_table(cells[depth:], masks[depth:])
     full = _full_mask(cube)
+    # union mask -> disjoint picks from the last one or two classes; from
+    # order 2 on it is filled one pair of x1 values (the low q bits of a
+    # lookup) at a time, from each tail class's cells and masks by x1 value
+    tail: dict[int, list[tuple[Cell, ...]]] = {full: [(cells[0][0],)]} if cube.q == 1 else {}
+    filled, low = set(), (1 << cube.q) - 1
+    runs = [[[] for _ in range(cube.q)] for _ in masks[depth:]]
+    for by_x1, cs, ms in zip(runs, cells[depth:], masks[depth:]):
+        for c, m in zip(cs, ms):
+            by_x1[c[1]].append((c, m))
     # a yielded value is the frozen Record with its one slot filled directly,
     # without the per-field object.__setattr__ of its __init__
     new, fill = object.__new__, Transversal.cells.__set__
@@ -312,6 +324,13 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
                 for x in ahead:
                     if not x & m:
                         picks = tail.get(rest ^ x)
+                        if picks is None:
+                            key = (rest ^ x) & low
+                            if key in filled:
+                                continue
+                            filled.add(key)
+                            _fill_tail(tail, key, *runs)
+                            picks = tail.get(rest ^ x)
                         if picks:
                             at = chosen + last[x]
                             for pick in picks:

@@ -283,14 +283,14 @@ def test_work_budget_refuses_the_level_that_would_pass_it(monkeypatch):
     monkeypatch.setattr(engine, "MAX_MASK_TESTS", 2 * (16 + 16 * 16) - 1)
     with pytest.raises(EnvelopeError, match="mask tests"):
         count_transversals(cube)
-    # enumeration builds its tail table over the last two classes first
+    # enumeration books its tail's two levels first, before it tests a pair
     monkeypatch.setattr(engine, "MAX_MASK_TESTS", 16 + 16 * 16 - 1)
     with pytest.raises(EnvelopeError, match="mask tests"):
         next(enumerate_transversals(cube, limit=5))
 
 
 def test_work_budget_covers_the_depth_first_part(monkeypatch):
-    # xor n=3: the tail table tests 16 + 16 * 16 masks, the depth-first part
+    # xor n=3: the tail books 16 + 16 * 16 mask tests, the depth-first part
     # 16 at its root and 16 at each of the 16 picks from class 0, and each of
     # those picks leads to 16 transversals
     cube = xor_cube(3)
@@ -404,6 +404,21 @@ def test_oversized_tail_is_refused_before_the_cells_are_built():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+def test_a_first_transversal_fills_only_the_tail_it_reaches():
+    # xor n=6: classes of 1024 cells.  The tail's pairs are filled one pair
+    # of x1 values at a time as lookups reach them; a table of all 1024^2
+    # cell pairs would take a tracemalloc peak of about 13.6 MB
+    cube = xor_cube(6)
+    tracemalloc.start()
+    try:
+        first = next(enumerate_transversals(cube))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verify_transversal(cube, first)
+    assert peak < 6 * 2**20
 
 
 def test_envelope_size_limit():

@@ -1,7 +1,8 @@
 """Property tests: the exact engine against a brute-force oracle and the
 formula counter, on cubes drawn from randgen (among them shapes where the
 half tables key their levels) and on generic order-5 cubes, which are
-neither composition trees nor semilinear; the work budget's early refusal against
+neither composition trees nor semilinear; limited and interleaved
+enumeration streams against the full stream; the work budget's early refusal against
 the total an unbounded count books; the whole-buffer file routines
 and table builders against their cell-by-cell references; the
 semilinear detector against a search over every relabelling, and every
@@ -21,7 +22,7 @@ import io
 import random
 from contextlib import redirect_stdout
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -158,6 +159,24 @@ def test_every_enumerated_transversal_verifies(n, q, seed):
     listed = list(enumerate_transversals(cube))
     assert count_transversals(cube) == len(listed)
     assert all(verify_transversal(cube, t) for t in listed)
+
+
+@PROPERTY
+@given(shape=st.sampled_from([(q, n) for q in range(1, 6) for n in range(1, 5)]), transformed=st.booleans(), seed=seeds, data=st.data())
+def test_a_limited_or_interleaved_stream_is_the_full_stream(shape, transformed, seed, data):
+    # the tail is filled part by part inside each generator, as its lookups
+    # miss: a stream cut at any k, or two streams over one cube advanced in
+    # turn, must list what one unlimited stream lists
+    q, n = shape
+    rng = random.Random(seed)
+    cube = random_quasigroup(n, q, rng)
+    if transformed:
+        cube = apply_transform(cube, random_transform(n, q, rng))
+    full = list(enumerate_transversals(cube))
+    k = data.draw(st.integers(0, len(full) + 1))
+    assert list(enumerate_transversals(cube, limit=k)) == full[:k]
+    for want, a, b in zip_longest(full, enumerate_transversals(cube), enumerate_transversals(cube)):
+        assert want == a == b
 
 
 @settings(max_examples=25, deadline=None, database=None)
