@@ -53,6 +53,7 @@ each bucket first at its first transversal in the enumeration stream.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from itertools import islice, product
 from math import comb
 from typing import TYPE_CHECKING, Iterator
@@ -131,13 +132,37 @@ def verify_transversal(cube: LatinHypercube, t: Transversal) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# Tables of at most this many cells keep their shape's masks and coordinates
+# (_shape) for the next call: at most 8 shapes, each under 0.75 MB (the most,
+# 0.72 MB, at q=2 n=12), so under 6 MB in all
+_KEPT_SHAPE_CELLS = 4096
+
+
+def _shape(q: int, n: int):
+    """Per cell of a q^n table, in index order, its packed input mask and its
+    coordinates.  Up to _KEPT_SHAPE_CELLS cells these are tuples, kept for
+    the shapes used last and only read; above that they stream, so nothing
+    is held."""
+    if q**n <= _KEPT_SHAPE_CELLS:
+        return _kept_shape(q, n)
+    return _cell_masks(q, n), product(range(q), repeat=n)
+
+
+@lru_cache(maxsize=8)
+def _kept_shape(q: int, n: int) -> tuple[tuple[int, ...], tuple[Cell, ...]]:
+    return tuple(_cell_masks(q, n)), tuple(product(range(q), repeat=n))
+
+
+def _cell_masks(q: int, n: int) -> Iterator[int]:
+    return cell_sums([[1 << (q * i + x) for x in range(q)] for i in range(n)])
+
+
 def _prepare(cube: LatinHypercube) -> list[list[int]]:
     """Per output symbol, the packed input masks of its cells in index order."""
     if cube.size > ENVELOPE_MAX_CELLS:
         raise EnvelopeError(f"search supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
-    n, q = cube.n, cube.q
-    classes: list[list[int]] = [[] for _ in range(q)]
-    for a, m in zip(cube.values, cell_sums([[1 << (q * i + x) for x in range(q)] for i in range(n)])):
+    classes: list[list[int]] = [[] for _ in range(cube.q)]
+    for a, m in zip(cube.values, _shape(cube.q, cube.n)[0]):
         classes[a].append(m)
     return classes
 
@@ -283,7 +308,7 @@ def _enumerate(cube: LatinHypercube) -> Iterator[Transversal]:
         _charge(stats, width)
     cells: list[list[Cell]] = [[] for _ in masks]
     symbols = [(a,) for a in range(cube.q)]  # each cell is symbols[a] + x, one tuple built
-    for a, x in zip(cube.values, product(range(cube.q), repeat=cube.n)):
+    for a, x in zip(cube.values, _shape(cube.q, cube.n)[1]):
         cells[a].append(symbols[a] + x)
     full = _full_mask(cube)
     # union mask -> disjoint picks from the last one or two classes; from

@@ -102,7 +102,17 @@ def random_tree(
 
 
 def random_lambda(n: int, rng: random.Random) -> BooleanFn:
-    return BooleanFn(n, tuple(rng.randrange(2) for _ in range(1 << n)))
+    """2^n bits, each drawn as rng.randrange(2) draws it: two bits of
+    getrandbits, drawn again while they exceed 1.  So a seed gives the same
+    function, and leaves rng in the same state, as randrange(2) per bit."""
+    bits = []
+    draw = rng.getrandbits
+    for _ in range(1 << n):
+        r = draw(2)
+        while r > 1:
+            r = draw(2)
+        bits.append(r)
+    return BooleanFn(n, tuple(bits))
 
 
 def random_quasigroup(n: int, q: int, rng: random.Random) -> LatinHypercube:

@@ -38,6 +38,7 @@ from lhc import (
     verify_transversal,
     zero_transversal_criterion,
 )
+from lhc.core import coords_of
 from lhc.fixtures import EXAMPLE_CUBE_2, load_fixture
 from lhc.randgen import random_lambda, random_quasigroup, random_tree
 
@@ -132,14 +133,17 @@ def test_iterated_cyclic_groups_have_transversals_unless_order_and_arity_are_eve
     # x0 + .. + xn = 0 over a transversal's q cells gives (n+1)*q/2 = 0 mod q
     # when q is even, so n is odd; pairing t with -t (and, at odd q and even
     # n, t, t, -2t) builds one otherwise.  The n = 2 counts at q = 3, 5 and 7
-    # are those of cyclic squares (OEIS A006717)
-    grid = {2: 12, 3: 6, 4: 6, 5: 4, 6: 4, 7: 3}
+    # are those of cyclic squares (OEIS A006717).  At q = 2 a transversal is
+    # a cell and its complement, 2^(n-1) of them at odd n; n = 12 and 13 sit
+    # on either side of the 4096 cells whose shape the search keeps
+    grid = {2: 13, 3: 6, 4: 6, 5: 4, 6: 4, 7: 3}
     counts = {(q, n): count_transversals(gen_iterated_group(GroupKind.CYCLIC, n, q))
               for q, top in grid.items() for n in range(1, top + 1)}
     assert {key for key, count in counts.items() if count == 0} == {
         (q, n) for q, n in counts if q % 2 == n % 2 == 0
     }
     assert [counts[q, 2] for q in (3, 5, 7)] == [3, 15, 133]
+    assert [counts[2, n] for n in range(1, 14, 2)] == [2 ** (n - 1) for n in range(1, 14, 2)]
 
 
 def test_enumerate_identity_permutation():
@@ -419,6 +423,35 @@ def test_a_first_transversal_fills_only_the_tail_it_reaches():
         tracemalloc.stop()
     assert verify_transversal(cube, first)
     assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("q,n", [(2, 12), (4, 6), (8, 4), (2, 13)], ids=["q=2 n=12", "q=4 n=6", "q=8 n=4", "q=2 n=13"])
+def test_prepare_matches_a_per_cell_reference_at_the_kept_size(q, n):
+    # 4096 cells is the most whose masks and coordinates are kept per shape;
+    # q=2 n=13 is just above it and streams them afresh on every call.  At
+    # the cap a second call reads what the first kept
+    cube = cyclic_cube(n, q)
+    want: list[list[int]] = [[] for _ in range(q)]
+    for index, a in enumerate(cube.values):
+        want[a].append(sum(1 << (q * i + x) for i, x in enumerate(coords_of(index, n, q))))
+    assert engine._prepare(cube) == want
+    assert engine._prepare(cube) == want
+
+
+def test_a_first_transversal_above_the_kept_size_keeps_nothing():
+    # xor n=7: 16384 cells, above the 4096 whose shape is kept, so once the
+    # generator is dropped no table of that size is left behind
+    cube = xor_cube(7)
+    tracemalloc.start()
+    try:
+        stream = enumerate_transversals(cube)
+        first = next(stream)
+        del stream
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert verify_transversal(cube, first)
+    assert current < 2**20
 
 
 def test_envelope_size_limit():

@@ -165,18 +165,22 @@ def test_every_enumerated_transversal_verifies(n, q, seed):
 @given(shape=st.sampled_from([(q, n) for q in range(1, 6) for n in range(1, 5)]), transformed=st.booleans(), seed=seeds, data=st.data())
 def test_a_limited_or_interleaved_stream_is_the_full_stream(shape, transformed, seed, data):
     # the tail is filled part by part inside each generator, as its lookups
-    # miss: a stream cut at any k, or two streams over one cube advanced in
-    # turn, must list what one unlimited stream lists
+    # miss, and cubes of one shape read the same kept masks and coordinates:
+    # a stream cut at any k, two streams over one cube advanced in turn, or
+    # streams over two cubes of one shape advanced in turn, must each list
+    # what that cube's one unlimited stream lists
     q, n = shape
     rng = random.Random(seed)
-    cube = random_quasigroup(n, q, rng)
+    cube, other = (random_quasigroup(n, q, rng) for _ in range(2))
     if transformed:
         cube = apply_transform(cube, random_transform(n, q, rng))
-    full = list(enumerate_transversals(cube))
+    full, other_full = list(enumerate_transversals(cube)), list(enumerate_transversals(other))
     k = data.draw(st.integers(0, len(full) + 1))
     assert list(enumerate_transversals(cube, limit=k)) == full[:k]
-    for want, a, b in zip_longest(full, enumerate_transversals(cube), enumerate_transversals(cube)):
+    streams = (enumerate_transversals(c) for c in (cube, cube, other))
+    for want, other_want, a, b, c in zip_longest(full, other_full, *streams):
         assert want == a == b
+        assert other_want == c
 
 
 @settings(max_examples=25, deadline=None, database=None)

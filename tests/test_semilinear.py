@@ -61,6 +61,16 @@ def test_boolean_fn_indexing():
         BooleanFn.from_string("012")
 
 
+def test_random_lambda_draws_the_bits_of_randrange():
+    # the seeded lambdas of the claim suite were drawn with randrange(2) per
+    # bit: the same bits, and the generator left in the same state
+    for n in range(1, 7):
+        for seed in range(21):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert random_lambda(n, rng).bits == tuple(ref.randrange(2) for _ in range(1 << n))
+            assert rng.random() == ref.random()
+
+
 def test_lambda_z4_bits():
     assert lambda_z4(2).to_string() == "0111"
     assert lambda_z22(3).to_string() == "0" * 8
