@@ -162,10 +162,12 @@ def _cmd_classify(args) -> int:
     from .semilinear import delta_report, detect_semilinear
 
     cube = _read_cube(args.path)
-    # delta_report and find_factorization refuse oversized cubes: run them before printing
+    # find_factorization refuses cubes above the search envelope; a cube that
+    # was read has 4**n <= MAX_CELLS, so delta_report never refuses its lambda.
+    # Refuse before detecting, and compute everything before printing
+    fac = find_factorization(cube) if cube.n >= 3 else None
     lam = detect_semilinear(cube) if cube.q == 4 else None
     rep = delta_report(lam) if lam is not None else None
-    fac = find_factorization(cube) if cube.n >= 3 else None
     print(f"arity: {cube.n}, order: {cube.q}")
     print("latin: ok")
     if cube.q != 4:

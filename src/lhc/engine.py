@@ -53,7 +53,7 @@ each bucket first at its first transversal in the enumeration stream.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
+from functools import cache
 from itertools import islice, product
 from math import comb
 from typing import TYPE_CHECKING, Iterator
@@ -133,22 +133,22 @@ def verify_transversal(cube: LatinHypercube, t: Transversal) -> bool:
 
 
 # Tables of at most this many cells keep their shape's masks and coordinates
-# (_shape) for the next call: at most 8 shapes, each under 0.75 MB (the most,
-# 0.72 MB, at q=2 n=12), so under 6 MB in all
+# (_shape) for the life of the process.  The cap alone bounds what is kept:
+# 66 shapes (q = 1..8) fit under it, about 4 MB in all
 _KEPT_SHAPE_CELLS = 4096
 
 
 def _shape(q: int, n: int):
     """Per cell of a q^n table, in index order, its packed input mask and its
-    coordinates.  Up to _KEPT_SHAPE_CELLS cells these are tuples, kept for
-    the shapes used last and only read; above that they stream, so nothing
-    is held."""
+    coordinates.  Up to _KEPT_SHAPE_CELLS cells these are tuples, built once
+    per shape, kept and only read; above that they stream, so nothing is
+    held."""
     if q**n <= _KEPT_SHAPE_CELLS:
         return _kept_shape(q, n)
     return _cell_masks(q, n), product(range(q), repeat=n)
 
 
-@lru_cache(maxsize=8)
+@cache
 def _kept_shape(q: int, n: int) -> tuple[tuple[int, ...], tuple[Cell, ...]]:
     return tuple(_cell_masks(q, n)), tuple(product(range(q), repeat=n))
 

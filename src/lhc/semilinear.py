@@ -65,12 +65,6 @@ class BooleanFn(Record):
     def to_string(self) -> str:
         return "".join(str(b) for b in self.bits)
 
-    def __call__(self, z: tuple[int, ...]) -> int:
-        idx = 0
-        for b in z:
-            idx = (idx << 1) | b
-        return self.bits[idx]
-
 
 def parse_lambda(text: str) -> BooleanFn:
     """Accept a bare bit string or the file form 'LAMBDA <n>' + bits."""

@@ -195,14 +195,16 @@ def reference_iterated_group(kind, n: int, q: int):
 
 
 def reference_semilinear(lam):
-    """f(x) = x1 ^ .. ^ xn ^ lam(l(x1)..l(xn))."""
+    """f(x) = x1 ^ .. ^ xn ^ lam(l(x1)..l(xn)), lam read from its bits with
+    l(x1) the most significant."""
     n = lam.n
     out = bytearray(4**n)
     for idx, x in enumerate(product(range(4), repeat=n)):
-        acc = 0
+        acc = z = 0
         for v in x:
             acc ^= v
-        out[idx] = acc ^ lam(tuple(v >> 1 for v in x))
+            z = z << 1 | v >> 1
+        out[idx] = acc ^ lam.bits[z]
     return LatinHypercube(n, 4, bytes(out))
 
 

@@ -38,7 +38,7 @@ from lhc import (
     verify_transversal,
     zero_transversal_criterion,
 )
-from lhc.core import coords_of
+from lhc.core import MAX_ARITY, MAX_ORDER, coords_of
 from lhc.fixtures import EXAMPLE_CUBE_2, load_fixture
 from lhc.randgen import random_lambda, random_quasigroup, random_tree
 
@@ -425,10 +425,13 @@ def test_a_first_transversal_fills_only_the_tail_it_reaches():
     assert peak < 6 * 2**20
 
 
-@pytest.mark.parametrize("q,n", [(2, 12), (4, 6), (8, 4), (2, 13)], ids=["q=2 n=12", "q=4 n=6", "q=8 n=4", "q=2 n=13"])
+@pytest.mark.parametrize(
+    "q,n", [(2, 12), (4, 6), (8, 4), (2, 13), (1, MAX_ARITY)],
+    ids=["q=2 n=12", "q=4 n=6", "q=8 n=4", "q=2 n=13", "q=1 n=24"],
+)
 def test_prepare_matches_a_per_cell_reference_at_the_kept_size(q, n):
     # 4096 cells is the most whose masks and coordinates are kept per shape;
-    # q=2 n=13 is just above it and streams them afresh on every call.  At
+    # q=2 n=13 is just above it and streams them afresh on every call.  Under
     # the cap a second call reads what the first kept
     cube = cyclic_cube(n, q)
     want: list[list[int]] = [[] for _ in range(q)]
@@ -436,6 +439,27 @@ def test_prepare_matches_a_per_cell_reference_at_the_kept_size(q, n):
         want[a].append(sum(1 << (q * i + x) for i, x in enumerate(coords_of(index, n, q))))
     assert engine._prepare(cube) == want
     assert engine._prepare(cube) == want
+
+
+def test_every_shape_under_the_kept_size_is_built_once_per_process():
+    # the 4096-cell cap alone bounds what is kept: 66 shapes of orders
+    # 1..8 (order 1 up to the arity bound), about 4 MB in all
+    shapes = [(q, n) for q in range(1, MAX_ORDER + 1) for n in range(1, MAX_ARITY + 1) if q**n <= 4096]
+    engine._kept_shape.cache_clear()
+    tracemalloc.start()
+    try:
+        for q, n in shapes:
+            engine._shape(q, n)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    for q, n in shapes:
+        engine._shape(q, n)
+    engine._shape(2, 13)
+    info = engine._kept_shape.cache_info()
+    assert len(shapes) == 66
+    assert (info.misses, info.hits, info.currsize) == (66, 66, 66)
+    assert current < 5 * 2**20
 
 
 def test_a_first_transversal_above_the_kept_size_keeps_nothing():
