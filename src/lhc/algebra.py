@@ -343,6 +343,11 @@ def factor_on_subset(cube: LatinHypercube, subset) -> TwoLevelComposition | None
     return TwoLevelComposition(outer, inner, subset)
 
 
+def _check_envelope(size: int) -> None:
+    if size > ENVELOPE_MAX_CELLS:
+        raise EnvelopeError(f"factorization supports q**n <= {ENVELOPE_MAX_CELLS}, got {size}")
+
+
 def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
     """First factorization over input-variable subsets, smallest subset
     first.  Splitting the n+1 graph roles on any block is equivalent to
@@ -361,8 +366,7 @@ def find_factorization(cube: LatinHypercube) -> TwoLevelComposition | None:
     n = cube.n
     if n < 3:
         raise ValueError(f"reducibility needs arity >= 3, got {n}")
-    if cube.size > ENVELOPE_MAX_CELLS:
-        raise EnvelopeError(f"factorization supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
+    _check_envelope(cube.size)
     from .semilinear import _block_test, _semilinear_isotope
 
     found = _semilinear_isotope(cube) if cube.q == 4 else None

@@ -27,6 +27,7 @@ from .core import (
     ParseError,
     StructuralError,
     UnsupportedOrderError,
+    _parse_header,
     parse_lhc,
     serialize_lhc,
     validate_latin,
@@ -57,8 +58,15 @@ def _read_text(path: str) -> str:
         raise _InputError(f"cannot read {path}: {e}") from None
 
 
-def _read_cube(path: str) -> LatinHypercube:
-    cube = parse_lhc(_read_text(path))
+def _read_cube(path: str, refuse=None) -> LatinHypercube:
+    """The latin cube in the file at path.  refuse, when given, gets q**n
+    from the header before the rest is parsed, and raises for a size its
+    command cannot take."""
+    text = _read_text(path)
+    if refuse is not None:
+        n, q = _parse_header(text)
+        refuse(q**n)
+    cube = parse_lhc(text)
     report = validate_latin(cube)
     if not report.ok:
         first = report.violations[0]
@@ -141,11 +149,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_transversals(args) -> int:
-    from .engine import count_transversals_stats, enumerate_transversals
+    from .engine import _check_envelope, count_transversals_stats, enumerate_transversals
 
     if args.limit is not None and args.mode != "list":
         raise ValueError("--limit applies only to --mode list")
-    cube = _read_cube(args.path)
+    # enumerate_transversals reports a negative limit before the cube's size
+    bad_limit = args.limit is not None and args.limit < 0
+    cube = _read_cube(args.path, None if bad_limit else _check_envelope)
     if args.mode == "count":
         count, stats = count_transversals_stats(cube)
         print(f"transversals: {count}")
@@ -158,10 +168,10 @@ def _cmd_transversals(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .algebra import find_factorization
+    from .algebra import _check_envelope, find_factorization
     from .semilinear import delta_report, detect_semilinear
 
-    cube = _read_cube(args.path)
+    cube = _read_cube(args.path, _check_envelope)
     # find_factorization refuses cubes above the search envelope; a cube that
     # was read has 4**n <= MAX_CELLS, so delta_report never refuses its lambda.
     # Refuse before detecting, and compute everything before printing

@@ -317,6 +317,9 @@ def validate_latin(cube: LatinHypercube) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\S+")
+# a line, its break left out, as str.splitlines splits them (one empty line
+# more at the end of a text that ends in a break)
+_LINE = re.compile(r"([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]|\Z)")
 
 # Blank or comment lines, then the header line, ending in LF or CRLF.  The
 # character classes keep out every other line break str.splitlines knows,
@@ -374,15 +377,17 @@ def _tokens(text: str, pattern: re.Pattern = _TOKEN) -> list[tuple[str, int, int
     ]
 
 
-def _parse_tokens(text: str) -> LatinHypercube:
-    """parse_lhc token by token, with the line and column of every token."""
-    tokens = _tokens(text)
-    if not tokens:
+def _parse_header(text: str) -> tuple[int, int]:
+    """The (n, q) of an .lhc text's header, the first line that holds a
+    token; raises ParseError unless it reads 'LHC <n> <q>' within the
+    supported scale.  Nothing past that line is read."""
+    for header_line, line in enumerate(_LINE.finditer(text), start=1):
+        if not line[1].lstrip().startswith("#"):
+            header = [(m.group(), header_line, m.start() + 1) for m in _TOKEN.finditer(line[1])]
+            if header:
+                break
+    else:
         raise ParseError("empty input, expected 'LHC <n> <q>' header", 1, 1)
-    # the header is the first line that holds a token
-    header_line = tokens[0][1]
-    header = [tok for tok in tokens if tok[1] == header_line]
-    body_tokens = tokens[len(header) :]
     if header[0][0] != "LHC":
         raise ParseError(f"expected 'LHC' header, got {header[0][0]!r}", header_line, header[0][2])
     if len(header) != 3:
@@ -398,11 +403,18 @@ def _parse_tokens(text: str) -> LatinHypercube:
     # build (and fail to print) a huge power
     if q >= 2 and n > MAX_CELLS.bit_length():
         raise ParseError(f"q**n = {q}**{n} exceeds the supported scale", header_line, header[1][2])
-    expected = q**n
-    if expected > MAX_CELLS:
-        raise ParseError(f"q**n = {expected} exceeds the supported scale", header_line, header[1][2])
+    if q**n > MAX_CELLS:
+        raise ParseError(f"q**n = {q**n} exceeds the supported scale", header_line, header[1][2])
     if n > MAX_ARITY:  # order 1: one cell at any arity
         raise ParseError(f"arity {n} exceeds the supported maximum {MAX_ARITY}", header_line, header[1][2])
+    return n, q
+
+
+def _parse_tokens(text: str) -> LatinHypercube:
+    """parse_lhc token by token, with the line and column of every token."""
+    n, q = _parse_header(text)
+    body_tokens = _tokens(text)[3:]  # after the header's three
+    expected = q**n
 
     if len(body_tokens) > expected:
         tok, ln, col = body_tokens[expected]

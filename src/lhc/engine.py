@@ -17,7 +17,14 @@ full ^ u, and the count is the sum of A[u] * B[full ^ u].  Where it pays, a
 level keys its states on their values in the first k coordinates and scans
 for each state only the class's cells that miss that key, filtered once per
 key in index order, so the tables fill in the same order as from whole
-classes; each level still books len(table) * len(class) mask tests.
+classes; each level still books len(table) * len(class) mask tests.  The
+pair level, a half's second, reads a table kept per shape instead: its
+states are the cells of the half's first class, and in a cube latin on its
+last axis each class holds one cell per prefix (x1..x_{n-1}), in prefix
+order, so the cells that can join a state are those at the prefixes that
+differ from its own in every coordinate, whatever the cube, and their masks
+are tested for the last coordinate alone.  It serves tables of at most
+1024 cells that are latin on their last axis; the others key that level.
 
 Enumeration is a depth-first search over the classes 0..q-3, padded below
 order 4 to two levels with classes of one empty pick (mask 0, no cells, no
@@ -59,12 +66,14 @@ from math import comb
 from typing import TYPE_CHECKING, Iterator
 
 from .core import (
+    _ONE_HOT,
     ENVELOPE_MAX_CELLS,
     Cell,
     EnvelopeError,
     LatinHypercube,
     Record,
     cell_sums,
+    slabs,
 )
 
 if TYPE_CHECKING:
@@ -91,7 +100,8 @@ class SearchStats:
     masks) the two half tables hold, summed over their levels, and
     mask_tests the booked budget, len(table) * len(class) per level: an
     upper bound on the (state, cell) pairs tested, since a keyed level tests
-    only the cells left after its key.  elapsed is the whole call in
+    only the cells left after its key, and a pair level only the cells at
+    the prefixes its pair table lists.  elapsed is the whole call in
     seconds, prepare_ms its search preparation and search_ms the half tables
     and their join, both in milliseconds."""
 
@@ -153,14 +163,53 @@ def _kept_shape(q: int, n: int) -> tuple[tuple[int, ...], tuple[Cell, ...]]:
     return tuple(_cell_masks(q, n)), tuple(product(range(q), repeat=n))
 
 
+# Tables of at most this many cells also keep their shape's pair table
+# (_disjoint_prefixes), read at the pair level of each half table: 58 shapes
+# (q = 1..8), 47,328 entries, under 0.5 MB in all.  At 4096 cells xor n=6
+# would keep 248,832 entries more, about 2 MB
+_PAIR_TABLE_CELLS = 1024
+
+
+@cache
+def _disjoint_prefixes(q: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Per prefix of m coordinates, in index order, the ascending indices of
+    the prefixes that differ from it in every coordinate: the row of
+    (x, rest) is y * q^(m-1) + j for each y != x and each j in the row of
+    rest."""
+    if not m:
+        return ((0,),)
+    rest, w = _disjoint_prefixes(q, m - 1), q ** (m - 1)
+    return tuple(tuple(y * w + j for y in range(q) if y != x for j in row) for x in range(q) for row in rest)
+
+
+def _pair_rows(cube: LatinHypercube) -> tuple[tuple[int, ...], ...] | None:
+    """The pair table of the cube's shape, when it has at most
+    _PAIR_TABLE_CELLS cells and its last axis is latin, so that each class
+    holds one cell per prefix of the first n-1 coordinates, in prefix
+    order; None otherwise."""
+    if cube.size > _PAIR_TABLE_CELLS:
+        return None
+    q = cube.q
+    seen = 0
+    for part in slabs(cube.values.translate(_ONE_HOT), q, 1):
+        seen |= int.from_bytes(part, "little")
+    if seen != int.from_bytes(bytes([(1 << q) - 1]) * (cube.size // q), "little"):
+        return None
+    return _disjoint_prefixes(q, cube.n - 1)
+
+
 def _cell_masks(q: int, n: int) -> Iterator[int]:
     return cell_sums([[1 << (q * i + x) for x in range(q)] for i in range(n)])
 
 
+def _check_envelope(size: int) -> None:
+    if size > ENVELOPE_MAX_CELLS:
+        raise EnvelopeError(f"search supports q**n <= {ENVELOPE_MAX_CELLS}, got {size}")
+
+
 def _prepare(cube: LatinHypercube) -> list[list[int]]:
     """Per output symbol, the packed input masks of its cells in index order."""
-    if cube.size > ENVELOPE_MAX_CELLS:
-        raise EnvelopeError(f"search supports q**n <= {ENVELOPE_MAX_CELLS}, got {cube.size}")
+    _check_envelope(cube.size)
     classes: list[list[int]] = [[] for _ in range(cube.q)]
     for a, m in zip(cube.values, _shape(cube.q, cube.n)[0]):
         classes[a].append(m)
@@ -194,7 +243,9 @@ def _key_width(states: int, size: int, picked: int, q: int, n: int) -> int:
     k = n a latin class projects evenly, so each state scans size * ((q -
     picked) / q)^k cells.  k grows while that total keeps falling, from
     states * size unkeyed; its first step pays exactly when states * picked
-    > q * C(q, picked)."""
+    > q * C(q, picked).  A pair level (picked == 1) keys only when the cube
+    has no pair table (_pair_rows): above 1024 cells, or not latin on its
+    last axis."""
     keys = comb(q, picked)
     if states * picked <= q * keys:
         return 0
@@ -207,34 +258,48 @@ def _key_width(states: int, size: int, picked: int, q: int, n: int) -> int:
     return k
 
 
-def _union_counts(classes, stats: SearchStats, q: int, n: int) -> dict[int, int]:
+def _union_counts(classes, stats: SearchStats, q: int, n: int, pairs) -> dict[int, int]:
     """Union mask -> number of picks, one cell per class, pairwise disjoint.
     A state scans only the cells that miss its values on the first k
     coordinates, from one list per key, filtered in index order, so the
-    picks reach the next table in the same order as from the whole class."""
+    picks reach the next table in the same order as from the whole class.
+    Given the cube's pair table (pairs, from _pair_rows), the second level
+    reads each state's candidates from it instead: the states are then the first
+    class's cells in prefix order, and a state's row lists, in index order,
+    the cells of the second class whose prefixes miss its own."""
     table = {0: 1}
     for picked, masks in enumerate(classes):
         _charge(stats, len(table) * len(masks))
-        k = _key_width(len(table), len(masks), picked, q, n) if picked else 0
-        low, cand = (1 << q * k) - 1, masks
         # the next level books len(nxt) * its class size, and nxt only grows:
         # refuse as soon as that passes the budget left (never on a half's last level)
         ahead = len(classes[picked + 1]) if picked + 1 < len(classes) else 0
         room = MAX_MASK_TESTS - stats.mask_tests
         nxt: dict[int, int] = {}
-        lists: dict[int, list[int]] = {}
-        for u, c in table.items():
-            if len(nxt) * ahead > room:
-                _charge(stats, len(nxt) * ahead)
-            if low:
-                key = u & low
-                cand = lists.get(key)
-                if cand is None:
-                    cand = lists[key] = [m for m in masks if not m & key]
-            for m in cand:
-                if not u & m:
-                    v = u | m
-                    nxt[v] = nxt.get(v, 0) + c
+        if picked == 1 and pairs is not None:
+            for (u, c), row in zip(table.items(), pairs):
+                if len(nxt) * ahead > room:
+                    _charge(stats, len(nxt) * ahead)
+                for j in row:
+                    m = masks[j]
+                    if not u & m:
+                        v = u | m
+                        nxt[v] = nxt.get(v, 0) + c
+        else:
+            k = _key_width(len(table), len(masks), picked, q, n) if picked else 0
+            low, cand = (1 << q * k) - 1, masks
+            lists: dict[int, list[int]] = {}
+            for u, c in table.items():
+                if len(nxt) * ahead > room:
+                    _charge(stats, len(nxt) * ahead)
+                if low:
+                    key = u & low
+                    cand = lists.get(key)
+                    if cand is None:
+                        cand = lists[key] = [m for m in masks if not m & key]
+                for m in cand:
+                    if not u & m:
+                        v = u | m
+                        nxt[v] = nxt.get(v, 0) + c
         table = nxt
         stats.nodes_visited += len(table)
     return table
@@ -249,8 +314,9 @@ def count_transversals_stats(cube: LatinHypercube) -> tuple[int, SearchStats]:
     half = cube.q // 2
     # the larger half first: a count the budget refuses is mostly refused
     # while that table grows, before the smaller one has run in full
-    second = _union_counts(classes[half:], stats, cube.q, cube.n)
-    first = _union_counts(classes[:half], stats, cube.q, cube.n)
+    pairs = _pair_rows(cube)
+    second = _union_counts(classes[half:], stats, cube.q, cube.n, pairs)
+    first = _union_counts(classes[:half], stats, cube.q, cube.n, pairs)
     full = _full_mask(cube)
     found = sum(c * second.get(full ^ u, 0) for u, c in first.items())
     end = time.perf_counter()
@@ -407,14 +473,15 @@ def transversals_by_quadruple(cube: LatinHypercube) -> dict[Quadruple, int]:
 
     # union -> {image pair of the second half, shifted above the first: picks}
     by_union: dict[int, dict[int, int]] = {}
-    for s, c in _union_counts(classes[2:], stats, 4, n).items():
+    pairs = _pair_rows(cube)
+    for s, c in _union_counts(classes[2:], stats, 4, n, pairs).items():
         group = by_union.setdefault(s & full, {})
         key = pair(s) << 2 * m
         group[key] = group.get(key, 0) + c
     # the images of the first half have position 0 clear, so a key lists
     # the sorted quadruple from its low bits up
     counts: dict[int, int] = {}
-    for s, c in _union_counts(classes[:2], stats, 4, n).items():
+    for s, c in _union_counts(classes[:2], stats, 4, n, pairs).items():
         head = pair(s)
         for tail, c2 in by_union.get(full ^ s & full, {}).items():
             key = head | tail

@@ -128,6 +128,25 @@ def test_envelope_exit_code(tmp_path, capsys):
     assert "search supports q**n <= 1048576, got 2097152" in err
 
 
+def test_a_size_above_the_envelope_is_refused_from_the_header(tmp_path, capsys):
+    # the body is malformed, and parsing it would exit 3: classify and
+    # transversals refuse the size the header gives before they read on
+    path = tmp_path / "c21.lhc"
+    path.write_text("# arity 21\n\n  LHC 21 2 \n0 9\n")
+    for command, layer in (("classify", "factorization"), ("transversals", "search")):
+        assert run(capsys, command, str(path)) == (2, "", f"error: {layer} supports q**n <= 1048576, got 2097152\n")
+    rc, out, err = run(capsys, "transversals", str(path), "--mode", "list")
+    assert (rc, out, err) == (2, "", "error: search supports q**n <= 1048576, got 2097152\n")
+    # with a negative limit the file is read first, as before, so that the
+    # limit is reported before the size: here the malformed body is
+    assert run(capsys, "transversals", str(path), "--mode", "list", "--limit", "-1")[0] == 3
+    # validate takes any size, and a bad header is still an input error
+    assert run(capsys, "validate", str(path))[0] == 3
+    path.write_text("LHC 21 9\n0 9\n")
+    for command in ("classify", "transversals"):
+        assert run(capsys, command, str(path)) == (3, "", "input error: line 1, column 5: unsupported arity/order n=21 q=9\n")
+
+
 def test_gen_iterated_order_one_and_zero(tmp_path, capsys):
     path = tmp_path / "c1.lhc"
     rc, _, _ = run(capsys, "gen", "iterated", "--group", "cyclic", "--n", "3", "--q", "1", "-o", str(path))

@@ -271,6 +271,11 @@ PINNED_SEARCH_STATS = [
     ("cyclic q=3 n=7", lambda: cyclic_cube(7, 3), (31347, 2187, 532899)),
     ("xor n=6", lambda: xor_cube(6), (2981888, 25344, 2099200)),
     ("tree q=5 n=4", lambda: compose(random_tree(4, 5, random.Random(2016))), (85375, 18300, 546500)),
+    # the largest tables under the pair table's 1024 cells; cyclic q=3 n=7
+    # and xor n=6 above them key every level
+    ("cyclic q=3 n=6", lambda: cyclic_cube(6, 3), (5103, 729, 59535)),
+    ("xor n=5", lambda: xor_cube(5), (126976, 4384, 131584)),
+    ("cyclic q=8 n=3", lambda: cyclic_cube(3, 8), (35061760, 133232, 3035264)),
 ]
 
 
@@ -460,6 +465,38 @@ def test_every_shape_under_the_kept_size_is_built_once_per_process():
     assert len(shapes) == 66
     assert (info.misses, info.hits, info.currsize) == (66, 66, 66)
     assert current < 5 * 2**20
+
+
+@pytest.mark.parametrize("q,m", [(q, m) for q in range(1, 6) for m in range(5) if q**m <= 256])
+def test_disjoint_prefixes_are_the_prefixes_that_differ_everywhere(q, m):
+    prefixes = [coords_of(i, m, q) for i in range(q**m)]
+    want = [[j for j, b in enumerate(prefixes) if all(x != y for x, y in zip(a, b))] for a in prefixes]
+    assert [list(row) for row in engine._disjoint_prefixes(q, m)] == want
+
+
+def test_every_pair_table_under_its_cap_is_small():
+    # 58 shapes of orders 1..8 have at most 1024 cells, 47,328 entries
+    shapes = [(q, n) for q in range(1, MAX_ORDER + 1) for n in range(1, MAX_ARITY + 1) if q**n <= 1024]
+    engine._disjoint_prefixes.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = [engine._disjoint_prefixes(q, n - 1) for q, n in shapes]
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert engine._PAIR_TABLE_CELLS == 1024
+    assert (len(shapes), engine._disjoint_prefixes.cache_info().currsize) == (58, 58)
+    assert sum(len(row) for table in tables for row in table) == 47328
+    assert current < 2**20
+
+
+def test_pair_table_serves_only_small_cubes_latin_on_their_last_axis():
+    assert engine._pair_rows(xor_cube(5)) is engine._disjoint_prefixes(4, 4)
+    assert engine._pair_rows(xor_cube(6)) is None
+    # latin on every axis but the last
+    assert engine._pair_rows(LatinHypercube(2, 3, bytes([0, 0, 0, 1, 1, 1, 2, 2, 2]))) is None
+    # latin on the last axis alone
+    assert engine._pair_rows(LatinHypercube(2, 3, bytes([0, 1, 2] * 3))) is engine._disjoint_prefixes(3, 1)
 
 
 def test_a_first_transversal_above_the_kept_size_keeps_nothing():

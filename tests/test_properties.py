@@ -1,7 +1,8 @@
 """Property tests: the exact engine against a brute-force oracle and the
 formula counter, on cubes drawn from randgen (among them shapes where the
 half tables key their levels) and on generic order-5 cubes, which are
-neither composition trees nor semilinear; limited and interleaved
+neither composition trees nor semilinear; the half tables' pair levels
+against keyed ones, in counts, stats and bucket order; limited and interleaved
 enumeration streams against the full stream; the work budget's early refusal against
 the total an unbounded count books; the whole-buffer file routines
 and table builders against their cell-by-cell references; the
@@ -194,6 +195,50 @@ def test_keyed_levels_agree_with_the_stream_and_a_transform(shape, seed):
     count = count_transversals(cube)
     assert sum(1 for _ in enumerate_transversals(cube)) == count
     assert count_transversals(apply_transform(cube, random_transform(n, q, rng))) == count
+
+
+def _search_stats(cube):
+    count, stats = count_transversals_stats(cube)
+    return count, stats.nodes_visited, stats.mask_tests
+
+
+# every shape from order 3 that the pair table serves, but q=8 n=3, where
+# one count takes most of a second (test_engine pins cyclic q=8 n=3)
+PAIR_SHAPES = [(q, n) for q in range(3, 9) for n in range(1, 7) if q**n <= 1024 and (q, n) != (8, 3)]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(shape=st.sampled_from(PAIR_SHAPES), seed=seeds)
+def test_pair_levels_count_as_the_keyed_levels(shape, seed):
+    # with the pair table's cap at 0 every level is keyed or whole; the
+    # counts, states and booked tests must not tell the two apart, on latin
+    # cubes, their transforms, tables latin on the last axis alone (which
+    # the pair table serves) and tables of random symbols (which it does not)
+    q, n = shape
+    rng = random.Random(seed)
+    cube = random_quasigroup(n, q, rng)
+    rows = [bytes(rng.sample(range(q), q)) for _ in range(q ** (n - 1))]
+    cubes = [
+        cube,
+        apply_transform(cube, random_transform(n, q, rng)),
+        LatinHypercube(n, q, b"".join(rows)),
+        LatinHypercube(n, q, bytes(rng.randrange(q) for _ in range(q**n))),
+    ]
+    assert all(engine._pair_rows(c) is not None for c in cubes[:3])
+    paired = [_search_stats(c) for c in cubes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_PAIR_TABLE_CELLS", 0)
+        assert [_search_stats(c) for c in cubes] == paired
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(n=st.integers(2, 5), seed=seeds)
+def test_pair_levels_keep_the_bucket_order(n, seed):
+    cube = gen_semilinear(random_lambda(n, random.Random(seed)))
+    paired = list(transversals_by_quadruple(cube).items())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_PAIR_TABLE_CELLS", 0)
+        assert list(transversals_by_quadruple(cube).items()) == paired
 
 
 @settings(max_examples=40, deadline=None, database=None)
